@@ -1,6 +1,7 @@
 // Microbenchmark: the mprotect/SIGSEGV write-trap — cost of the first
 // (faulting, twinning) write to a page vs subsequent writes, interval
-// re-arm cost, and fault-free update application through the alias view.
+// re-arm cost (all pages dirty vs one dirty page, which must stay flat in
+// region size), and fault-free update application through the alias view.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -51,7 +52,29 @@ void BM_RearmWholeRegion(benchmark::State& state) {
   mem::TrackedRegion region(pages * ps);
   region.begin_tracking();
   for (auto _ : state) {
-    region.rearm();
+    state.PauseTiming();
+    for (std::size_t p = 0; p < pages; ++p) {
+      region.data()[p * ps] = std::byte{1};
+    }
+    benchmark::ClobberMemory();
+    state.ResumeTiming();
+    region.rearm();  // every page dirty: the span is the whole region
+  }
+  region.end_tracking();
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RearmOneDirtyPage(benchmark::State& state) {
+  const std::size_t ps = mem::Region::host_page_size();
+  const std::size_t pages = static_cast<std::size_t>(state.range(0));
+  mem::TrackedRegion region(pages * ps);
+  region.begin_tracking();
+  std::size_t page = 0;
+  for (auto _ : state) {
+    region.data()[page * ps] = std::byte{1};  // fault + twin
+    benchmark::ClobberMemory();
+    region.rearm();  // re-protects that page only
+    page = (page + 7) % pages;
   }
   region.end_tracking();
   state.SetItemsProcessed(state.iterations());
@@ -77,6 +100,7 @@ void BM_ApplyUpdateThroughAlias(benchmark::State& state) {
 BENCHMARK(BM_FirstWriteFaultAndTwin);
 BENCHMARK(BM_SubsequentWritesNoFault);
 BENCHMARK(BM_RearmWholeRegion)->Arg(16)->Arg(256);
+BENCHMARK(BM_RearmOneDirtyPage)->Arg(16)->Arg(4096);
 BENCHMARK(BM_ApplyUpdateThroughAlias)->Arg(4096)->Arg(1 << 18);
 
 BENCHMARK_MAIN();

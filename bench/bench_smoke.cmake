@@ -8,7 +8,7 @@
 # Keep this list in sync with the binaries that default --benchmark_out.
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
     bench_adaptive bench_obs_overhead bench_sharding bench_reactor
-    bench_replication bench_kv bench_codec)
+    bench_replication bench_kv bench_codec bench_micro_trap)
 
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "bench_smoke: pass -DBENCH_DIR=<dir>")

@@ -219,13 +219,7 @@ void RemoteThread::lock(std::uint32_t index) {
   req.type = msg::MsgType::LockRequest;
   req.sync_id = index;
   const msg::Message grant = rpc(std::move(req), msg::MsgType::LockGrant);
-  if (space_.region().dirty_pages().empty()) {
-    // Clean interval (typical for the first lock, whose grant carries the
-    // whole image): apply through the fault-free unprotected window.
-    engine_.apply_payload_bulk(grant.payload, grant.sender);
-  } else {
-    engine_.apply_payload(grant.payload, grant.sender);
-  }
+  engine_.apply_payload(grant.payload, grant.sender);
   ++stats_.locks;
 }
 
@@ -249,7 +243,7 @@ void RemoteThread::barrier(std::uint32_t index) {
   enter.payload = engine_.collect_payload();
   const msg::Message release =
       rpc(std::move(enter), msg::MsgType::BarrierRelease);
-  engine_.apply_payload_bulk(release.payload, release.sender);
+  engine_.apply_payload(release.payload, release.sender);
   ++stats_.barriers;
 }
 

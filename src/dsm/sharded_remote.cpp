@@ -304,11 +304,7 @@ void ShardedRemote::drain_pending(std::uint32_t mask) {
               /*allow_redirect=*/false);
       drained |= 1u << s;
       to_drain |= reply.aux & all;
-      if (space_.region().dirty_pages().empty()) {
-        engine_.apply_payload_bulk(reply.payload, reply.sender);
-      } else {
-        engine_.apply_payload(reply.payload, reply.sender);
-      }
+      engine_.apply_payload(reply.payload, reply.sender);
     }
   }
 }
@@ -331,11 +327,7 @@ void ShardedRemote::lock(std::uint32_t index) {
   req.sync_id = index;
   const msg::Message grant =
       routed_rpc(std::move(req), msg::MsgType::LockGrant);
-  if (space_.region().dirty_pages().empty()) {
-    engine_.apply_payload_bulk(grant.payload, grant.sender);
-  } else {
-    engine_.apply_payload(grant.payload, grant.sender);
-  }
+  engine_.apply_payload(grant.payload, grant.sender);
   // The grant carried only the granting shard's pending set; complete the
   // acquire by draining every other shard it flagged.
   drain_pending(grant.aux);
@@ -362,7 +354,7 @@ void ShardedRemote::barrier(std::uint32_t index) {
   enter.payload = collect_episode(kAllRegions);
   const msg::Message release =
       routed_rpc(std::move(enter), msg::MsgType::BarrierRelease);
-  engine_.apply_payload_bulk(release.payload, release.sender);
+  engine_.apply_payload(release.payload, release.sender);
   drain_pending(release.aux);
   ++stats_.barriers;
 }

@@ -57,28 +57,6 @@ std::string render_run_tag(const tags::Tag& tag, bool binary) {
   return std::string(reinterpret_cast<const char*>(bin.data()), bin.size());
 }
 
-/// Re-arms a tracked region on scope exit — apply_payload_bulk's window
-/// must close on *every* path; an exception that skipped rearm() would
-/// leave the region unprotected (writes untracked) for the rest of the run.
-class RearmGuard {
- public:
-  explicit RearmGuard(mem::TrackedRegion* region) : region_(region) {}
-  ~RearmGuard() {
-    if (region_ == nullptr) return;
-    try {
-      region_->rearm();
-    } catch (...) {
-      // rearm() only throws if mprotect itself fails — unrecoverable, but
-      // a destructor must not propagate during unwinding.
-    }
-  }
-  RearmGuard(const RearmGuard&) = delete;
-  RearmGuard& operator=(const RearmGuard&) = delete;
-
- private:
-  mem::TrackedRegion* region_;
-};
-
 }  // namespace
 
 plat::PlatformDesc wire_platform(const msg::PlatformSummary& s) {
@@ -233,8 +211,8 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   const std::uint64_t image_size = table.image_size();
 
   // Dirty pages are unprotected and this thread owns the interval, so the
-  // image can be diffed in place; one mprotect then re-arms the region for
-  // the next interval.
+  // image can be diffed in place; one mprotect over the dirty span then
+  // re-arms the region for the next interval.
   const std::vector<std::size_t> dirty = region.dirty_pages();
   stats_.dirty_pages += dirty.size();
 
@@ -716,41 +694,6 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
   obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
 
   // t_conv: convert (or memcpy) each planned block into this node's image.
-  const unsigned lanes_used = execute_plans(plans, sender);
-  const std::uint64_t conv_ns = watch.lap();
-  stats_.conv_ns += conv_ns;
-  obs_phase(obs::SpanKind::Convert, conv_ns, plans.size());
-
-  std::vector<idx::UpdateRun> applied;
-  applied.reserve(plans.size());
-  for (const BlockPlan& p : plans) {
-    stats_.update_bytes_received += p.src_len;
-    ++stats_.updates_received;
-    applied.push_back(p.run);
-  }
-  sample_apply(plans, lanes_used, unpack_ns, conv_ns, hits0, misses0);
-  return applied;
-}
-
-std::vector<idx::UpdateRun> SyncEngine::apply_payload_bulk(
-    const std::vector<std::byte>& payload,
-    const msg::PlatformSummary& sender) {
-  // Validate before the window opens: a malformed payload throws here and
-  // the region protection is never touched at all.
-  StopWatch watch;
-  const std::uint64_t hits0 = stats_.plan_cache_hits;
-  const std::uint64_t misses0 = stats_.plan_cache_misses;
-  const ValidatedPayload validated = validate_payload(payload, sender);
-  const std::vector<BlockPlan>& plans = validated.plans;
-  const std::uint64_t unpack_ns = watch.lap();
-  stats_.unpack_ns += unpack_ns;
-  obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
-
-  mem::TrackedRegion& region = space_.region();
-  const bool was_tracking = region.tracking();
-  if (was_tracking) region.unprotect_for_apply();
-  RearmGuard rearm(was_tracking ? &region : nullptr);
-
   const unsigned lanes_used = execute_plans(plans, sender);
   const std::uint64_t conv_ns = watch.lap();
   stats_.conv_ns += conv_ns;

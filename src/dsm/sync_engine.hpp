@@ -10,8 +10,8 @@
 // *before any byte lands*; phase 2 executes the planned conversions —
 // optionally fanned out over a worker pool (SyncOptions::conv_threads).
 // Application is therefore all-or-nothing: a payload with one malformed
-// block changes nothing, and apply_payload_bulk's unprotected window is
-// re-armed by an RAII guard on every exit path.
+// block changes nothing.  Blocks land through the region's always-writable
+// alias view, so applying never faults and never touches page protection.
 //
 // All work is accounted into the Eq.-1 ShareStats buckets of the owning
 // node.  A SyncEngine is not internally synchronized: callers serialize
@@ -146,15 +146,6 @@ class SyncEngine {
   /// is applied, so a malformed payload throws with the image untouched.
   /// Returns the runs applied (for pending-set merging at the home node).
   std::vector<idx::UpdateRun> apply_payload(
-      const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender);
-
-  /// apply_payload through an unprotected window (no per-page faults) —
-  /// for barrier-release batches, where the applying thread is blocked and
-  /// the interval was just re-armed.  Re-arms the region afterwards on
-  /// every path, including exceptions (RAII guard), so a rejected payload
-  /// can never leave write tracking disabled.
-  std::vector<idx::UpdateRun> apply_payload_bulk(
       const std::vector<std::byte>& payload,
       const msg::PlatformSummary& sender);
 

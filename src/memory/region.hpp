@@ -11,11 +11,12 @@
 
 namespace hdsm::mem {
 
-/// RAII wrapper around an anonymous, page-aligned mapping.
+/// RAII wrapper around a memfd-backed, page-aligned mapping and its alias.
 class Region {
  public:
   /// Maps at least `length` bytes (rounded up to whole host pages),
-  /// readable and writable.  Throws std::bad_alloc on mmap failure.
+  /// readable and writable, twice.  Throws std::system_error when the
+  /// memfd or either mapping cannot be created.
   explicit Region(std::size_t length);
   ~Region();
 
@@ -30,10 +31,8 @@ class Region {
   /// A second mapping of the same physical pages that is always writable
   /// regardless of protect() calls on the primary view.  DSM engines write
   /// incoming updates through it so update application never trips the
-  /// write trap (mirrored-page technique; falls back to the primary view
-  /// if the kernel lacks memfd, in which case writes may fault).
+  /// write trap (mirrored-page technique).  Always distinct from data().
   std::byte* alias() noexcept { return alias_; }
-  bool has_alias() const noexcept { return alias_ != base_; }
 
   /// The byte length originally requested.
   std::size_t requested() const noexcept { return requested_; }
@@ -43,8 +42,8 @@ class Region {
 
   /// Change protection on the whole region. `prot` is a PROT_* mask.
   void protect(int prot);
-  /// Change protection on one page.
-  void protect_page(std::size_t page_index, int prot);
+  /// Change protection on `count` pages starting at page `first`.
+  void protect_pages(std::size_t first, std::size_t count, int prot);
 
   /// True when `p` points into this region.
   bool contains(const void* p) const noexcept;

@@ -15,12 +15,16 @@ namespace {
 
 // Sized for a whole simulated cluster in one process: a thousand-remote
 // transport bench owns a region per remote plus the home's.  Slots are one
-// pointer each and the handler's scan is a relaxed walk of null checks, so
-// headroom here is nearly free.
+// pointer each and the handler scans only up to the high-water mark below,
+// so headroom here is free.
 constexpr std::size_t kMaxRegions = 4096;
 
 // Fixed-slot registry read lock-free from the signal handler.
 std::atomic<TrackedRegion*> g_slots[kMaxRegions];
+// High-water mark of used slots: every live region sits below it, so the
+// handler scans only [0, g_slot_limit).  Raised under g_registry_mutex,
+// never lowered.
+std::atomic<std::size_t> g_slot_limit{0};
 std::mutex g_registry_mutex;  // serializes register/unregister only
 
 struct sigaction g_prev_sigsegv;
@@ -29,7 +33,8 @@ bool g_handler_installed = false;
 void sigsegv_handler(int signo, siginfo_t* info, void* ctx) {
   void* addr = info != nullptr ? info->si_addr : nullptr;
   if (addr != nullptr) {
-    for (std::size_t i = 0; i < kMaxRegions; ++i) {
+    const std::size_t limit = g_slot_limit.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < limit; ++i) {
       TrackedRegion* r = g_slots[i].load(std::memory_order_acquire);
       if (r != nullptr && r->on_fault(addr)) {
         return;  // resolved: retry the faulting instruction
@@ -78,6 +83,9 @@ void register_region(TrackedRegion* r) {
     TrackedRegion* expected = nullptr;
     if (g_slots[i].compare_exchange_strong(expected, r,
                                            std::memory_order_release)) {
+      if (i >= g_slot_limit.load(std::memory_order_relaxed)) {
+        g_slot_limit.store(i + 1, std::memory_order_release);
+      }
       return;
     }
   }
@@ -86,7 +94,8 @@ void register_region(TrackedRegion* r) {
 
 void unregister_region(TrackedRegion* r) {
   std::lock_guard<std::mutex> lock(g_registry_mutex);
-  for (std::size_t i = 0; i < kMaxRegions; ++i) {
+  const std::size_t limit = g_slot_limit.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < limit; ++i) {
     TrackedRegion* expected = r;
     if (g_slots[i].compare_exchange_strong(expected, nullptr,
                                            std::memory_order_release)) {
@@ -98,7 +107,8 @@ void unregister_region(TrackedRegion* r) {
 std::size_t registered_count() {
   std::lock_guard<std::mutex> lock(g_registry_mutex);
   std::size_t n = 0;
-  for (std::size_t i = 0; i < kMaxRegions; ++i) {
+  const std::size_t limit = g_slot_limit.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < limit; ++i) {
     if (g_slots[i].load(std::memory_order_acquire) != nullptr) ++n;
   }
   return n;
@@ -109,7 +119,9 @@ std::size_t registered_count() {
 TrackedRegion::TrackedRegion(std::size_t length)
     : region_(length),
       twins_(new std::byte[region_.length()]),
-      page_state_(new std::atomic<std::uint8_t>[region_.page_count()]) {
+      twin_slot_(new std::uint32_t[region_.page_count()]),
+      page_state_(new std::atomic<std::uint8_t>[region_.page_count()]),
+      dirty_lo_(region_.page_count()) {
   for (std::size_t i = 0; i < region_.page_count(); ++i) {
     page_state_[i].store(0, std::memory_order_relaxed);
   }
@@ -143,17 +155,17 @@ void TrackedRegion::end_tracking() {
 }
 
 void TrackedRegion::rearm() {
+  const std::size_t lo = dirty_lo_.load(std::memory_order_acquire);
+  const std::size_t hi = dirty_hi_.load(std::memory_order_acquire);
+  if (lo < hi) region_.protect_pages(lo, hi - lo, PROT_READ);
   clear_dirty();
-  region_.protect(PROT_READ);
-}
-
-void TrackedRegion::unprotect_for_apply() {
-  region_.protect(PROT_READ | PROT_WRITE);
 }
 
 std::vector<std::size_t> TrackedRegion::dirty_pages() const {
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
+  const std::size_t hi = dirty_hi_.load(std::memory_order_acquire);
+  for (std::size_t i = dirty_lo_.load(std::memory_order_acquire); i < hi;
+       ++i) {
     if (page_state_[i].load(std::memory_order_acquire) == 2) {
       out.push_back(i);
     }
@@ -166,13 +178,19 @@ bool TrackedRegion::page_dirty(std::size_t page) const noexcept {
 }
 
 const std::byte* TrackedRegion::twin_page(std::size_t page) const noexcept {
-  return twins_.get() + page * Region::host_page_size();
+  return twins_.get() +
+         std::size_t{twin_slot_[page]} * Region::host_page_size();
 }
 
 void TrackedRegion::clear_dirty() {
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
+  const std::size_t hi = dirty_hi_.load(std::memory_order_relaxed);
+  for (std::size_t i = dirty_lo_.load(std::memory_order_relaxed); i < hi;
+       ++i) {
     page_state_[i].store(0, std::memory_order_relaxed);
   }
+  dirty_lo_.store(region_.page_count(), std::memory_order_relaxed);
+  dirty_hi_.store(0, std::memory_order_relaxed);
+  twins_used_.store(0, std::memory_order_relaxed);
   faults_.store(0, std::memory_order_relaxed);
 }
 
@@ -206,7 +224,8 @@ void TrackedRegion::apply_update(std::size_t offset, const void* src,
       st = page_state_[page].load(std::memory_order_acquire);
     }
     if (st != 0) {
-      std::memcpy(twins_.get() + pos,
+      std::byte* twin = twins_.get() + std::size_t{twin_slot_[page]} * ps;
+      std::memcpy(twin + (pos - page * ps),
                   static_cast<const std::byte*>(src) + (pos - offset),
                   page_end - pos);
     }
@@ -227,8 +246,22 @@ bool TrackedRegion::on_fault(void* addr) noexcept {
                                                 std::memory_order_acq_rel)) {
     // We own the twin copy for this page.  The page is still read-only, so
     // its contents cannot change under us.
-    std::memcpy(twins_.get() + page * ps, region_.data() + page * ps, ps);
+    const std::uint32_t slot =
+        twins_used_.fetch_add(1, std::memory_order_relaxed);
+    twin_slot_[page] = slot;
+    std::memcpy(twins_.get() + std::size_t{slot} * ps,
+                region_.data() + page * ps, ps);
     faults_.fetch_add(1, std::memory_order_relaxed);
+    // Widen the dirty span before publishing state 2 (lock-free atomics
+    // only: this runs in the signal handler).
+    std::size_t lo = dirty_lo_.load(std::memory_order_relaxed);
+    while (page < lo && !dirty_lo_.compare_exchange_weak(
+                            lo, page, std::memory_order_relaxed)) {
+    }
+    std::size_t hi = dirty_hi_.load(std::memory_order_relaxed);
+    while (page >= hi && !dirty_hi_.compare_exchange_weak(
+                             hi, page + 1, std::memory_order_relaxed)) {
+    }
     ::mprotect(region_.data() + page * ps, ps, PROT_READ | PROT_WRITE);
     page_state_[page].store(2, std::memory_order_release);
     return true;

@@ -23,14 +23,26 @@ namespace hdsm::mem {
 
 /// A Region with twin/diff write tracking.
 ///
-/// Lifecycle per release-consistency interval:
+/// Lifecycle:
 ///   begin_tracking()  - write-protect all pages, clear dirty state
 ///   ... application writes fault once per page, get twinned ...
-///   end_tracking()    - un-protect; dirty pages + twins stay readable
 ///   dirty_pages()/twin_page() feed the diff engine
+///   rearm()           - next interval: re-protect just the dirtied pages
+///   end_tracking()    - un-protect; dirty pages + twins stay readable
+///
+/// Invariant while tracking: a page of the primary view is writable iff
+/// its page state is 2 (twinned by the fault handler).  Every other page is
+/// PROT_READ, so rearm() need only re-protect the pages the interval
+/// dirtied, and every per-interval cost (dirty_pages(), rearm()) is
+/// proportional to the dirty span rather than to the region.  Twins are
+/// handed out in fault order from the front of the twin buffer and reused
+/// every interval, so resident twin memory is bounded by the most pages
+/// one interval dirtied, not by every page ever written.  Incoming
+/// updates land through the always-writable alias view (apply_update) and
+/// never change a page's protection or state.
 ///
 /// Thread safety: any number of application threads may write concurrently
-/// while tracking; begin/end/clear must not race with each other.
+/// while tracking; begin/end/rearm/clear must not race with each other.
 class TrackedRegion {
  public:
   explicit TrackedRegion(std::size_t length);
@@ -51,20 +63,14 @@ class TrackedRegion {
     return tracking_.load(std::memory_order_acquire);
   }
 
-  /// Start the next interval without leaving tracking: clear dirty state
-  /// and re-protect the whole region with a single mprotect (much cheaper
-  /// than end+begin when most pages are dirty).  Caller must guarantee no
-  /// concurrent application writes.
+  /// Start the next interval without leaving tracking: re-protect the
+  /// dirty span (first to last dirty page; the clean pages inside it are
+  /// already read-only) with one mprotect and clear the dirty state.  An
+  /// interval that dirtied nothing issues no syscall.  Caller must
+  /// guarantee no concurrent application writes.
   void rearm();
 
-  /// Open an unprotected window for bulk update application (e.g. a
-  /// barrier-release batch) while tracking stays logically on.  Dirty
-  /// state is preserved; follow with rearm() (or more tracking after
-  /// faults).  Caller must guarantee no concurrent application writes in
-  /// the window.
-  void unprotect_for_apply();
-
-  /// Ascending page indices dirtied since begin_tracking()/clear_dirty().
+  /// Ascending page indices dirtied since begin_tracking()/rearm().
   std::vector<std::size_t> dirty_pages() const;
   bool page_dirty(std::size_t page) const noexcept;
   /// The pre-write snapshot of a dirty page (undefined for clean pages).
@@ -86,9 +92,18 @@ class TrackedRegion {
 
  private:
   Region region_;
+  // Twin storage for up to page_count() pages, filled from slot 0 in fault
+  // order each interval; twin_slot_[page] is valid while page is dirty.
   std::unique_ptr<std::byte[]> twins_;
+  std::unique_ptr<std::uint32_t[]> twin_slot_;
+  std::atomic<std::uint32_t> twins_used_{0};
   // Per page: 0 = clean, 1 = twin in progress, 2 = twinned + unprotected.
   std::unique_ptr<std::atomic<std::uint8_t>[]> page_state_;
+  // Half-open page span [dirty_lo_, dirty_hi_) holding every page whose
+  // state is nonzero; empty when dirty_lo_ >= dirty_hi_.  Widened by the
+  // fault handler, reset by clear_dirty().
+  std::atomic<std::size_t> dirty_lo_;
+  std::atomic<std::size_t> dirty_hi_{0};
   std::atomic<bool> tracking_{false};
   std::atomic<std::uint64_t> faults_{0};
 };

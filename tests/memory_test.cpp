@@ -6,6 +6,7 @@
 #include <cstring>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "memory/diff.hpp"
 #include "memory/region.hpp"
@@ -203,6 +204,94 @@ TEST(TrackedRegion, ManyRegionsIndependent) {
   b.end_tracking();
   EXPECT_EQ(a.dirty_pages().size(), 1u);
   EXPECT_EQ(b.dirty_pages().size(), 1u);
+}
+
+TEST(TrackedRegion, RearmRetrapsTheDirtiedPage) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(8 * ps);
+  r.begin_tracking();
+  r.data()[5 * ps + 3] = std::byte{1};
+  EXPECT_EQ(r.fault_count(), 1u);
+  r.rearm();
+  EXPECT_TRUE(r.dirty_pages().empty());
+  EXPECT_EQ(r.fault_count(), 0u);
+  // The same page faults again and is twinned with its post-rearm bytes.
+  r.data()[5 * ps + 4] = std::byte{2};
+  EXPECT_EQ(r.fault_count(), 1u);
+  EXPECT_EQ(r.dirty_pages(), std::vector<std::size_t>{5});
+  EXPECT_EQ(std::to_integer<int>(r.twin_page(5)[3]), 1);
+  EXPECT_EQ(std::to_integer<int>(r.twin_page(5)[4]), 0);
+  r.data()[5 * ps + 5] = std::byte{3};
+  EXPECT_EQ(r.fault_count(), 1u);
+  r.end_tracking();
+}
+
+TEST(TrackedRegion, TwinStorageReusedAcrossIntervals) {
+  // Resident twin memory is bounded by the most pages one interval
+  // dirtied: the next interval's first twin reuses the same storage.
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(8 * ps);
+  std::memset(r.data(), 0x11, 8 * ps);
+  r.begin_tracking();
+  r.data()[6 * ps] = std::byte{1};
+  const std::byte* first = r.twin_page(6);
+  r.rearm();
+  r.data()[2 * ps] = std::byte{2};
+  EXPECT_EQ(r.twin_page(2), first);
+  EXPECT_EQ(std::to_integer<int>(r.twin_page(2)[0]), 0x11);
+  r.data()[7 * ps] = std::byte{3};
+  EXPECT_NE(r.twin_page(7), first);
+  EXPECT_EQ(std::to_integer<int>(r.twin_page(7)[0]), 0x11);
+  r.end_tracking();
+}
+
+TEST(TrackedRegion, RearmLeavesUnwrittenPagesProtected) {
+  const std::size_t ps = mem::Region::host_page_size();
+  const std::size_t pages = 8;
+  mem::TrackedRegion r(pages * ps);
+  r.begin_tracking();
+  r.data()[2 * ps] = std::byte{1};
+  r.data()[6 * ps] = std::byte{1};
+  r.rearm();
+  // Pages outside the dirty span (0, 1, 7), clean pages inside it (3-5)
+  // and the re-armed dirty pages (2, 6) each fault exactly once.
+  for (std::size_t p = 0; p < pages; ++p) {
+    r.data()[p * ps + 1] = std::byte{7};
+    r.data()[p * ps + 2] = std::byte{7};
+    EXPECT_EQ(r.fault_count(), p + 1) << p;
+  }
+  EXPECT_EQ(r.dirty_pages().size(), pages);
+  r.end_tracking();
+}
+
+TEST(TrackedRegion, RearmWithNothingDirtyKeepsEveryPageProtected) {
+  const std::size_t ps = mem::Region::host_page_size();
+  const std::size_t pages = 4;
+  mem::TrackedRegion r(pages * ps);
+  r.begin_tracking();
+  r.rearm();
+  r.rearm();
+  EXPECT_TRUE(r.dirty_pages().empty());
+  for (std::size_t p = 0; p < pages; ++p) {
+    r.data()[p * ps] = std::byte{9};
+    EXPECT_EQ(r.fault_count(), p + 1) << p;
+  }
+  r.end_tracking();
+}
+
+TEST(TrackedRegion, ApplyUpdateMidIntervalLeavesCleanPagesClean) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(4 * ps);
+  r.begin_tracking();
+  r.data()[ps] = std::byte{1};  // page 1 dirty
+  std::vector<std::byte> upd(2 * ps, std::byte{0x42});
+  r.apply_update(2 * ps, upd.data(), upd.size());  // pages 2-3, clean
+  EXPECT_EQ(r.fault_count(), 1u);
+  EXPECT_EQ(r.dirty_pages(), std::vector<std::size_t>{1});
+  EXPECT_FALSE(r.page_dirty(2));
+  EXPECT_FALSE(r.page_dirty(3));
+  EXPECT_EQ(std::to_integer<int>(r.data()[3 * ps + 7]), 0x42);
+  r.end_tracking();
 }
 
 TEST(TrackedRegion, RegistryTracksLifetime) {
