@@ -43,8 +43,8 @@ constexpr std::int64_t kWorst = 0;
 constexpr std::int64_t kBest = 1;
 constexpr std::int64_t kAdaptive = 2;
 
-dsm::HomeOptions config(std::int64_t kind) {
-  dsm::HomeOptions opts;
+dsm::ShardedHomeOptions config(std::int64_t kind) {
+  dsm::ShardedHomeOptions opts;
   switch (kind) {
     case kWorst:
       // Mis-tuned for small cluster payloads: the pool engages on nearly

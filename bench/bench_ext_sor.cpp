@@ -23,7 +23,7 @@ int main() {
               "wall_s");
 
   const auto run_config = [&](const hdsm::work::PairSpec& pair,
-                              hdsm::dsm::HomeOptions opts,
+                              hdsm::dsm::ShardedHomeOptions opts,
                               hdsm::dsm::ShareStats& out) {
     hdsm::dsm::Cluster cluster(hdsm::work::sor_gthv(n), *pair.home,
                                {pair.remote, pair.remote}, opts);
@@ -72,7 +72,7 @@ int main() {
     base_share = ms(s.share_ns());
   }
   {
-    hdsm::dsm::HomeOptions opts = hdsm::bench::paper_options();
+    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
     opts.dsd.binary_tags = true;
     hdsm::dsm::ShareStats s;
     run_config(hdsm::work::paper_pairs()[2], opts, s);
@@ -85,7 +85,7 @@ int main() {
   {
     // Merge diff ranges across the 8-byte untouched gaps: one run per row
     // band, shipping ~2x the bytes but ~1/60th of the tags.
-    hdsm::dsm::HomeOptions opts = hdsm::bench::paper_options();
+    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
     opts.dsd.merge_slack = 8;
     hdsm::dsm::ShareStats s;
     run_config(hdsm::work::paper_pairs()[2], opts, s);

@@ -490,6 +490,17 @@ void CoherenceCore::violation(std::uint32_t rank, std::string reason,
 bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
                                      const msg::Message& m, Actions& out) {
   if (m.seq == 0 || m.seq > peer.last_seq) return false;  // fresh or legacy
+  if (m.seq == peer.last_seq && m.seq == peer.bounced_seq) {
+    // The horizon sits here only because an earlier copy of this attempt
+    // was bounced (note_redirected); it never executed here.  A copy that
+    // reaches this shard after the region migrated in means the remote
+    // never saw the bounce — it is still waiting on this very seq, so
+    // execute it now.  Should the remote have re-issued after all, its
+    // re-issue finds this reply via the redirect replay (prev_reply in
+    // handle_message, or the reply cache that travels with the region).
+    peer.bounced_seq = 0;
+    return false;
+  }
   const auto dropped = [&] {
     ++stats_.duplicates_dropped;
     trace(out, TraceEvent::Kind::DuplicateDropped, rank, m.sync_id, 0, 0,
@@ -631,6 +642,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
         (m.sync_id == 0 || m.sync_id != peer.hello_epoch)) {
       peer.last_seq = 0;
       peer.last_reply.reset();
+      peer.bounced_seq = 0;
       peer.granted_gen.clear();
       peer.hello_epoch = m.sync_id;
       // Replies migrated in for the previous incarnation can never be
@@ -689,10 +701,11 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
                               : m.type == msg::MsgType::UnlockRequest
                                   ? msg::MsgType::UnlockAck
                                   : msg::MsgType::BarrierRelease;
+    const bool routed = m.type == msg::MsgType::LockRequest ||
+                        m.type == msg::MsgType::UnlockRequest ||
+                        m.type == msg::MsgType::BarrierEnter;
     auto best = redirect_replies_.end();
-    if (m.type == msg::MsgType::LockRequest ||
-        m.type == msg::MsgType::UnlockRequest ||
-        m.type == msg::MsgType::BarrierEnter) {
+    if (routed) {
       for (auto it = redirect_replies_.begin(); it != redirect_replies_.end();
            ++it) {
         if (it->first.first != rank || it->first.second < m.aux ||
@@ -710,6 +723,14 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       redirect_replies_.erase(best);
       trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0, m.seq);
       send_reply(rank, peer, std::move(reply), out);
+      return;
+    }
+    // The previous attempt may also have executed right here: a bounced
+    // attempt retransmitted once this shard owned the region.
+    if (routed && prev_reply.has_value() && prev_reply->seq >= m.aux &&
+        prev_reply->sync_id == m.sync_id && prev_reply->type == want) {
+      trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0, m.seq);
+      send_reply(rank, peer, *prev_reply, out);
       return;
     }
   }
@@ -955,6 +976,7 @@ void CoherenceCore::note_redirected(std::uint32_t rank, std::uint32_t seq) {
   // fault-layer duplicate that sneaks past the horizon check.
   it->second.last_seq = seq;
   it->second.last_reply.reset();
+  it->second.bounced_seq = seq;
 }
 
 CoherenceCore::RegionState CoherenceCore::export_region(
@@ -1076,6 +1098,9 @@ void CoherenceCore::import_region(RegionState st,
   for (const auto& [rank, es] : st.peer_seqs) {
     const auto [hello_epoch, last_seq] = es;
     PeerState& peer = peers_[rank];
+    // A later seq seen anywhere proves the remote got past the attempt
+    // bounced here, whatever the epochs say: never execute a copy of it.
+    if (last_seq > peer.bounced_seq) peer.bounced_seq = 0;
     if (peer.hello_epoch == 0 && peer.last_seq == 0) {
       // This shard has not heard from the rank yet: adopt the exporter's
       // view (the matching Hello, when it arrives, repeats this epoch and

@@ -10,9 +10,10 @@
 // filtering, request dedup + reply caching, incarnation-epoch resets, and
 // the generation-guarded unlock reset-recovery rules — is a transition of
 // this class, steppable from a unit test without spawning a thread or
-// opening an endpoint.  `HomeNode` (home.{hpp,cpp}) is only the I/O shell:
-// it feeds events from its receiver threads and executes the returned
-// actions (sends happen outside the state lock).
+// opening an endpoint.  `ShardedHome` (sharded_home.{hpp,cpp}) is only the
+// I/O shell, one core per directory shard: it feeds events from its
+// transport shell and executes the returned actions (sends happen outside
+// the state lock).
 //
 // The one dependency is `UpdateCodec`, a narrow data-plane interface
 // (pack runs -> payload bytes, apply payload -> runs) backed by the
@@ -298,6 +299,9 @@ class CoherenceCore {
     // and be answered from the cache instead of re-executed.
     std::uint32_t last_seq = 0;  ///< highest request seq handled
     std::optional<msg::Message> last_reply;  ///< reply sent for last_seq
+    /// The seq note_redirected() last advanced last_seq to: that attempt
+    /// was bounced here, never executed here (see handle_duplicate).
+    std::uint32_t bounced_seq = 0;
     /// Incarnation epoch from the last fresh-incarnation Hello (its
     /// sync_id field); dedup state resets only when a Hello carries a
     /// *different* epoch, so duplicated or reordered copies of the same

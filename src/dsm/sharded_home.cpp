@@ -178,9 +178,10 @@ void ShardedHome::attach_endpoint(std::uint32_t rank, std::uint32_t shard,
                             std::to_string(opts_.num_shards));
   }
   Shard& sh = *shards_[shard];
-  // Same re-attach discipline as HomeNode::attach_endpoint: wait out a
-  // migrating rank's detach window, reap the old incarnation outside the
-  // state lock (its final closed callback needs the lock on its way out).
+  // A migrating thread re-attaches its rank from the destination node
+  // moments after the source detached: wait out that window, then reap the
+  // old incarnation outside the state lock (its final closed callback needs
+  // the lock on its way out).
   {
     std::unique_lock<std::mutex> lock(sh.mutex);
     if (stopped_.load()) throw std::logic_error("attach after stop()");
@@ -311,11 +312,8 @@ void ShardedHome::bounce(Shard& sh, std::unique_lock<std::mutex>& lock,
   SessionShell::SendHandle h = shell_->handle(sh.index, rank);
   if (!h.valid) return;
   lock.unlock();
-  const bool ok = shell_->send(h, std::move(redirect));
+  shell_->send(h, std::move(redirect));
   lock.lock();
-  if (!ok && shell_->close_if_current(sh.index, rank, h.gen)) {
-    process_event(sh, lock, CoherenceEvent::peer_detached(rank));
-  }
 }
 
 // ---- replication: primary side (docs/REPLICATION.md) -----------------------
@@ -521,8 +519,8 @@ void ShardedHome::refresh_flags(Shard& sh) {
 }
 
 std::uint32_t ShardedHome::mask_for(std::uint32_t rank) const {
-  // One shard ⇒ the grant itself carried everything pending; a zero mask
-  // keeps the wire byte-identical to the single-home HomeNode.
+  // One shard ⇒ the grant itself carried everything pending: nothing to
+  // drain.
   if (opts_.num_shards <= 1) return 0;
   // Scoped pending (strict entry consistency): every row's pending lives
   // only at the shard owning its guarding region and ships on that
@@ -585,61 +583,48 @@ void ShardedHome::drain(Shard& sh, std::unique_lock<std::mutex>& lock,
       }
     }
     actions.clear();
-    if (!queue.empty()) {
-      CoherenceEvent ev = std::move(queue.front());
-      queue.erase(queue.begin());
-      actions = sh.core.step(ev);
-      // Log-before-reply (docs/REPLICATION.md): the record must be durable
-      // at the standby before any of this event's sends flush below.
-      if (opts_.replication != nullptr) replicate(sh, ev);
-      continue;
-    }
-    // The batch's state transitions are complete: publish this shard's
-    // pending bits, then stamp every outgoing frame — the current map
-    // epoch (remotes revalidate lazily) and, on the acquire replies, the
-    // pending-shards mask the remote must drain (docs/SHARDING.md).
-    refresh_flags(sh);
-    if (sends.empty()) return;
-    if (fenced_.load()) {
-      // Deposed primary: a newer epoch is serving.  Never externalize
-      // another frame — the remotes' retransmits are answered by the new
-      // primary's replicated reply caches (docs/REPLICATION.md).
-      sends.clear();
-      return;
-    }
-    const std::uint32_t epoch = epoch_mirror_.load();
-    for (PendingSend& ps : sends) {
-      ps.message.map_epoch = epoch;
-      switch (ps.message.type) {
-        case msg::MsgType::LockGrant:
-        case msg::MsgType::BarrierRelease:
-        case msg::MsgType::PendingReply:
-          ps.message.aux = mask_for(ps.rank);
-          break;
-        default:
-          break;
-      }
-    }
-    // Flush outside the state lock, exactly as HomeNode::process_event:
-    // failed sends come back as PeerDetached events.
-    lock.unlock();
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> dead;
-    for (PendingSend& ps : sends) {
-      if (!shell_->send(ps.handle, std::move(ps.message))) {
-        // Dead peer (threaded mode); reactor failures arrive as on_closed.
-        dead.emplace_back(ps.rank, ps.handle.gen);
-      }
-    }
-    sends.clear();
-    lock.lock();
-    for (const auto& [rank, gen] : dead) {
-      // Skip stale failures: the rank may have re-attached (new generation)
-      // while the lock was released.
-      if (!shell_->close_if_current(sh.index, rank, gen)) continue;
-      queue.push_back(CoherenceEvent::peer_detached(rank));
-    }
-    if (queue.empty()) return;
+    if (queue.empty()) break;
+    CoherenceEvent ev = std::move(queue.front());
+    queue.erase(queue.begin());
+    actions = sh.core.step(ev);
+    // Log-before-reply (docs/REPLICATION.md): the record must be durable at
+    // the standby before any of this event's sends flush below.
+    if (opts_.replication != nullptr) replicate(sh, ev);
   }
+  // The batch's state transitions are complete: publish this shard's
+  // pending bits, then stamp every outgoing frame — the current map epoch
+  // (remotes revalidate lazily) and, on the acquire replies, the
+  // pending-shards mask the remote must drain (docs/SHARDING.md).
+  refresh_flags(sh);
+  if (sends.empty()) return;
+  if (fenced_.load()) {
+    // Deposed primary: a newer epoch is serving.  Never externalize another
+    // frame — the remotes' retransmits are answered by the new primary's
+    // replicated reply caches (docs/REPLICATION.md).
+    return;
+  }
+  const std::uint32_t epoch = epoch_mirror_.load();
+  for (PendingSend& ps : sends) {
+    ps.message.map_epoch = epoch;
+    switch (ps.message.type) {
+      case msg::MsgType::LockGrant:
+      case msg::MsgType::BarrierRelease:
+      case msg::MsgType::PendingReply:
+        ps.message.aux = mask_for(ps.rank);
+        break;
+      default:
+        break;
+    }
+  }
+  // Flush outside the state lock.  Concurrent events may interleave here —
+  // safe, because the per-peer request/reply discipline means any
+  // concurrent send to the same peer is an identical cached reply.  A
+  // failed send comes back asynchronously as the session's on_closed.
+  lock.unlock();
+  for (PendingSend& ps : sends) {
+    shell_->send(ps.handle, std::move(ps.message));
+  }
+  lock.lock();
 }
 
 // ---- master-thread API -----------------------------------------------------
@@ -676,6 +661,7 @@ void ShardedHome::lock(std::uint32_t index) {
     Shard& sh = *shards_[s];
     std::unique_lock<std::mutex> lk(sh.mutex);
     if (owns(s, index) && sh.core.master_holds(index)) return;
+    if (stopped_.load()) throw std::logic_error("home stopped during lock()");
     sh.cv.wait_for(lk, std::chrono::milliseconds(1));
   }
 }
@@ -761,6 +747,9 @@ void ShardedHome::barrier(std::uint32_t index) {
     Shard& sh = *shards_[s];
     std::unique_lock<std::mutex> lk(sh.mutex);
     if (owns(s, index) && sh.core.barrier_generation(index) != gen) return;
+    if (stopped_.load()) {
+      throw std::logic_error("home stopped during barrier()");
+    }
     sh.cv.wait_for(lk, std::chrono::milliseconds(1));
   }
 }
@@ -906,6 +895,15 @@ std::vector<std::uint32_t> ShardedHome::active_ranks() const {
     for (std::uint32_t r : shp->core.active_ranks()) ranks.insert(r);
   }
   return {ranks.begin(), ranks.end()};
+}
+
+std::size_t ShardedHome::recovery_entries(std::uint32_t rank) const {
+  std::size_t total = 0;
+  for (const auto& shp : shards_) {
+    std::lock_guard<std::mutex> lk(shp->mutex);
+    total += shp->core.recovery_entries(rank);
+  }
+  return total;
 }
 
 bool ShardedHome::quiesced() const {

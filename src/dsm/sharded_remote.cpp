@@ -25,7 +25,9 @@ constexpr int kMaxRedirectHops = 64;
 constexpr auto kHandoffBackoff = std::chrono::microseconds(200);
 
 std::uint32_t incarnation_epoch(std::uint32_t rank) {
-  // Same construction as RemoteThread's: nonzero clock+counter nonce.
+  // Nonzero nonce distinguishing this incarnation of `rank` from any
+  // earlier one (thread churn, migration): clock + process-wide counter,
+  // mixed so successive incarnations never repeat an epoch.
   static std::atomic<std::uint64_t> counter{0};
   std::uint64_t h = static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
@@ -68,7 +70,14 @@ ShardedRemote::ShardedRemote(tags::TypePtr gthv,
                                  opts_.max_reconnects)});
   }
   for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
-    send_hello(s, /*resume=*/false);
+    try {
+      send_hello(s, /*resume=*/false);
+    } catch (const msg::ChannelClosed&) {
+      // The home side is already gone (e.g. a primary failed over before
+      // this thread started).  The first request on this session meets the
+      // dead transport and reconnects — resuming with a Hello — or gives up
+      // with HomeUnreachable, like any request whose transport died.
+    }
   }
   // Object mode (docs/OBJECTS.md): dirty objects are tracked by the
   // ObjectSpace, not mprotect faults — page-twin tracking never arms.

@@ -1,7 +1,20 @@
-// The remote-thread side of the sharded home directory
-// (docs/SHARDING.md): one retry-driven session per home shard, a cached
-// region→shard map for routing, and the two client halves of the sharding
-// protocol —
+// A remote thread of the DSD system (paper §4): the migrated side of a
+// thread pair, running on its own (virtual) platform with its own GThV
+// image, synchronizing with the home node through MTh_lock / MTh_unlock /
+// MTh_barrier / MTh_join.
+//
+// Every request is sequenced and retransmitted on timeout with exponential
+// backoff + jitter (the home deduplicates, so retries are idempotent); a
+// remote whose transport dies can re-dial through a user-supplied reconnect
+// hook, and one that exhausts its budget detaches cleanly with
+// HomeUnreachable so the rest of the cluster keeps making progress.  All
+// retry/backoff *decisions* live in the pure `RetryCore`
+// (retry_core.hpp) — this class is the I/O driver that sends, receives,
+// and dials on its behalf.  See docs/RELIABILITY.md.
+//
+// Against a sharded home (docs/SHARDING.md) it keeps one retry-driven
+// session per home shard, a cached region→shard map for routing, and the
+// two client halves of the sharding protocol —
 //
 //   * **Lazy map revalidation.**  Requests carry the cached map's epoch;
 //     a request that lands at a shard which no longer owns the region is
@@ -17,17 +30,18 @@
 //     remote drains each with PendingPull before the acquire returns —
 //     release consistency holds cluster-wide, not just per shard.
 //
-// With one shard this class degenerates to RemoteThread's behavior: no
-// masks (always 0), no redirects, one session.
+// With one shard (the paper's single home) there are no masks (always 0),
+// no redirects, and one session.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dsm/global_space.hpp"
-#include "dsm/remote.hpp"  // HomeUnreachable
 #include "dsm/retry_core.hpp"
 #include "dsm/shard_map.hpp"
 #include "dsm/stats.hpp"
@@ -38,16 +52,34 @@
 
 namespace hdsm::dsm {
 
+/// Thrown by a remote's synchronization calls when the home node stopped
+/// answering: every retry timed out (and every permitted reconnect failed).
+/// The remote has already detached itself — tracking is stopped and the
+/// endpoints closed — so the application thread can terminate cleanly.
+/// Derives from msg::ChannelClosed: to the application this *is* a dead
+/// channel, just diagnosed at the protocol layer instead of the transport.
+class HomeUnreachable : public msg::ChannelClosed {
+ public:
+  explicit HomeUnreachable(const std::string& what) : msg::ChannelClosed(what) {}
+};
+
 struct ShardedRemoteOptions {
   DsdOptions dsd;
   RetryPolicy retry;
-  /// Optional reliability trace sink; not owned.  Keep it separate from
-  /// the home shards' logs.
+  /// Optional reliability trace sink (RetrySent / DuplicateDropped /
+  /// Reconnected / TimeoutDetached events); not owned, must outlive the
+  /// remote.  A log of its own validates on its own; sharing the home's
+  /// log is also valid (these events are lifecycle-exempt).
   TraceLog* trace = nullptr;
-  /// Re-dial hook per shard session (null = a dead session is fatal after
-  /// the retry budget).
+  /// Re-dial hook per shard session (e.g. TCP: dial that shard's listener
+  /// again; the home re-attaches the rank and replays or resumes the
+  /// outstanding request via its dedup cache).  Null = a dead session is
+  /// fatal after the retry budget.
   std::function<msg::EndpointPtr(std::uint32_t shard)> reconnect;
   std::uint32_t max_reconnects = 3;  ///< reconnect budget per session
+  /// Telemetry (docs/OBSERVABILITY.md).  Disabled ⇒ no Telemetry object is
+  /// constructed; synchronization calls pay one null check each, and
+  /// pull_cluster_metrics() ships the ShareStats mirror only.
   obs::ObsOptions obs;
 
   /// Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md): when
@@ -74,11 +106,18 @@ class ShardedRemote {
   ShardedRemote(const ShardedRemote&) = delete;
   ShardedRemote& operator=(const ShardedRemote&) = delete;
 
-  // -- MTh_* API, identical semantics to RemoteThread --
+  /// MTh_lock(index, rank): acquire distributed mutex `index`; outstanding
+  /// updates arrive with the grant and are applied before this returns.
   void lock(std::uint32_t index);
+  /// MTh_unlock(index, rank): map local writes to indexes/tags, ship them
+  /// home, and release the mutex.
   void unlock(std::uint32_t index);
+  /// MTh_barrier(index, rank): ship local writes, wait for all threads,
+  /// apply the batched updates released with the barrier.
   void barrier(std::uint32_t index);
-  /// Ships final writes to shard 0, then detaches from every shard.
+  /// MTh_join(): ship final writes (to shard 0) and detach from every
+  /// shard; call immediately before thread termination.  No-op on a remote
+  /// that already timed out.
   void join();
 
   GlobalSpace& space() noexcept { return space_; }
@@ -88,13 +127,19 @@ class ShardedRemote {
     return static_cast<std::uint32_t>(sessions_.size());
   }
   bool joined() const noexcept { return joined_; }
+  /// True after retry exhaustion detached this remote (HomeUnreachable).
   bool detached() const noexcept { return detached_; }
 
   /// This remote's cached region→shard map (updated on WrongShard).
   const ShardMap& shard_map() const noexcept { return map_; }
 
+  /// This remote's telemetry (null when the options' obs is disabled).
   obs::Telemetry* telemetry() noexcept { return telemetry_.get(); }
-  /// Scrape via shard 0, the directory's telemetry anchor.
+  /// Scrape: ship this node's metrics snapshot to shard 0, the directory's
+  /// telemetry anchor (MetricsPull), and return the cluster-wide view it
+  /// replies with (MetricsReport).  Sequenced + retried like every other
+  /// request; a retransmitted pull is answered from the home's reply cache,
+  /// so nothing is double-counted.
   obs::ClusterTelemetry pull_cluster_metrics();
 
  private:
@@ -106,8 +151,10 @@ class ShardedRemote {
   /// Bounded-hop routed request: route by the cached map, intercept
   /// WrongShard, install the fresher map, re-issue at the new owner.
   msg::Message routed_rpc(msg::Message req, msg::MsgType want);
-  /// One request/reply exchange on shard `shard` (RemoteThread::rpc per
-  /// session).  When `allow_redirect`, a WrongShard echoing this request's
+  /// One request/reply exchange on shard `shard`: send `req` (stamped with
+  /// the next sequence number) and wait for the matching `want` reply,
+  /// retransmitting and reconnecting as the session's RetryCore decides.
+  /// When `allow_redirect`, a WrongShard echoing this request's
   /// seq is returned to the caller instead of raising ProtocolError.
   msg::Message rpc(std::uint32_t shard, msg::Message req, msg::MsgType want,
                    bool allow_redirect);

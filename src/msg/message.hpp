@@ -86,7 +86,8 @@ struct Message {
   std::uint32_t seq = 0;
   /// Shard-map epoch (docs/SHARDING.md).  On requests: the sender's cached
   /// map epoch (advisory).  On a WrongShard redirect: the authoritative
-  /// epoch of the map carried in the payload.  0 = single-home traffic.
+  /// epoch of the map carried in the payload.  Maps start at epoch 1, so
+  /// every home frame carries >= 1; 0 = not stamped (docs/PROTOCOL.md §1).
   std::uint32_t map_epoch = 0;
   /// Auxiliary word, meaning fixed per message type (docs/PROTOCOL.md §8):
   /// on a request re-issued after a WrongShard redirect, the sequence

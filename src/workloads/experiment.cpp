@@ -25,9 +25,9 @@ namespace {
 ExperimentResult finish(dsm::Cluster& cluster, ExperimentResult r,
                         double wall_seconds, bool verified) {
   r.total = cluster.total_stats();
-  r.home = cluster.home_stats();
-  r.remote = cluster.remote_stats(1);
-  r.remote += cluster.remote_stats(2);
+  r.home = cluster.home().stats();
+  r.remote = cluster.remote(1).stats();
+  r.remote += cluster.remote(2).stats();
   r.wall_seconds = wall_seconds;
   r.verified = verified;
   return r;

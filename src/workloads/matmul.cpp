@@ -91,7 +91,7 @@ std::vector<std::int32_t> run_matmul(dsm::Cluster& cluster, std::uint32_t n) {
 
   cluster.run(
       // Master thread (rank 0, at the home node).
-      [&](dsm::HomeNode& home) {
+      [&](dsm::ShardedHome& home) {
         home.lock(0);
         auto a = home.space().view<std::int32_t>("A");
         auto b = home.space().view<std::int32_t>("B");
@@ -112,7 +112,7 @@ std::vector<std::int32_t> run_matmul(dsm::Cluster& cluster, std::uint32_t n) {
         home.wait_all_joined();
       },
       // Remote threads (ranks 1..).
-      [&](dsm::RemoteThread& remote) {
+      [&](dsm::ShardedRemote& remote) {
         remote.barrier(0);  // pulls the full image incl. A, B
         std::uint32_t begin, end;
         row_block(n, remote.rank(), threads, begin, end);

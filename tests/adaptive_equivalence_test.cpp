@@ -30,14 +30,14 @@ namespace {
 /// dwell, fast EWMA, thin switch margin — the tuner moves as early and as
 /// often as it ever can, maximizing the chance a wrong decision would
 /// corrupt a result.
-dsm::HomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
-  dsm::HomeOptions opts;
+dsm::ShardedHomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
+  dsm::ShardedHomeOptions opts;
   opts.dsd.adaptive = true;
   opts.dsd.tuner.warmup = 1;
   opts.dsd.tuner.dwell = 1;
   opts.dsd.tuner.alpha = 0.5;
   opts.dsd.tuner.margin = 0.05;
-  opts.trace = trace;
+  opts.shard_traces = {trace};
   return opts;
 }
 
@@ -149,7 +149,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
   constexpr std::uint32_t kRounds = 6;
   constexpr std::uint64_t kCounters = 256;
 
-  const auto run = [&](dsm::HomeOptions opts) {
+  const auto run = [&](dsm::ShardedHomeOptions opts) {
     dsm::Cluster cluster(gthv, *work::paper_pairs()[0].home,
                          {work::paper_pairs()[0].remote,
                           work::paper_pairs()[0].remote},
@@ -163,7 +163,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
       }
     };
     cluster.run(
-        [&](dsm::HomeNode& home) {
+        [&](dsm::ShardedHome& home) {
           for (std::uint32_t r = 0; r < kRounds; ++r) {
             home.lock(1);
             bump(home.space(), 0);
@@ -172,7 +172,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
           home.barrier(0);
           home.wait_all_joined();
         },
-        [&](dsm::RemoteThread& remote) {
+        [&](dsm::ShardedRemote& remote) {
           for (std::uint32_t r = 0; r < kRounds; ++r) {
             remote.lock(1);
             bump(remote.space(), remote.rank());
@@ -184,7 +184,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
     return cluster.home().space().view<std::int32_t>("counters").to_vector();
   };
 
-  const auto off = run(dsm::HomeOptions{});
+  const auto off = run(dsm::ShardedHomeOptions{});
   const auto on = run(adaptive_on());
   EXPECT_TRUE(bytes_identical(off, on));
 
@@ -203,8 +203,13 @@ TEST(AdaptiveEquivalence, AdaptiveTracePassesTheValidator) {
   dsm::TraceLog log;
   const work::PairSpec& pair = work::paper_pairs()[0];
   const std::uint32_t n = 48;
+  // One combined log: the remotes' probe samples validate alongside the
+  // home's protocol events.
+  dsm::ShardedRemoteOptions ropts;
+  ropts.trace = &log;
   dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
-                       {pair.remote, pair.remote}, adaptive_on(&log));
+                       {pair.remote, pair.remote}, adaptive_on(&log), nullptr,
+                       ropts);
   EXPECT_EQ(work::run_matmul(cluster, n), work::matmul_reference(n));
 
   const std::vector<dsm::TraceEvent> events = log.snapshot();

@@ -680,6 +680,67 @@ TEST(CoherenceCoreSchedules, AllShardMigrationInterleavingsConverge) {
   EXPECT_EQ(schedules, 60);
 }
 
+// A request bounced at a shard that did not own its region advances that
+// shard's dedup horizon (note_redirected), so a fault-layer duplicate of it
+// can never execute there after its re-issue executed at the owner.  When
+// the WrongShard itself is lost, though, the remote retransmits the same
+// seq to the same shard — and once the region has migrated there, that
+// retransmit is the request's first execution, not a duplicate.  Dropping
+// it starved the remote until its retry budget ran out.
+TEST(CoherenceCoreSharding, LostBounceRetransmitRunsWhenRegionReturns) {
+  std::array<CoreHarness, 2> h;
+  for (CoreHarness& shard : h) {
+    shard.attach(1);
+    shard.step(Event::msg_received(1, make_hello(1, 7)));
+  }
+  const auto migrate = [&h](int from, int to) {
+    std::vector<Action> out;
+    dsm::CoherenceCore::RegionState st = h[from].core.export_region(0, out);
+    for (const Action& a : out) {
+      if (a.kind != Action::Kind::Trace) continue;
+      h[from].log.append(a.trace.kind, a.trace.rank, a.trace.sync_id,
+                         a.trace.blocks, a.trace.bytes, a.trace.req);
+    }
+    out.clear();
+    h[to].core.import_region(std::move(st), out);
+    for (const Action& a : out) {
+      if (a.kind != Action::Kind::Trace) continue;
+      h[to].log.append(a.trace.kind, a.trace.rank, a.trace.sync_id,
+                       a.trace.blocks, a.trace.bytes, a.trace.req);
+    }
+  };
+  ASSERT_NE(find_send(h[0].step(Event::msg_received(
+                          1, make_msg(msg::MsgType::LockRequest, 1, 1))),
+                      1, msg::MsgType::LockGrant),
+            nullptr);
+  migrate(0, 1);
+  // Unlock #2 routes by the stale map to shard 0: bounced, bounce lost.
+  h[0].core.note_redirected(1, 2);
+  migrate(1, 0);
+
+  const msg::Message unlock = make_msg(msg::MsgType::UnlockRequest, 1, 2, 0,
+                                       fake_payload({idx::UpdateRun{}}));
+  auto actions = h[0].step(Event::msg_received(1, msg::Message(unlock)));
+  const msg::Message* ack = find_send(actions, 1, msg::MsgType::UnlockAck);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->seq, 2u);
+  EXPECT_EQ(h[0].core.lock_holder(0), -1);
+
+  // A duplicate of the same attempt is answered from the cache...
+  actions = h[0].step(Event::msg_received(1, msg::Message(unlock)));
+  EXPECT_NE(find_send(actions, 1, msg::MsgType::UnlockAck), nullptr);
+  // ...and so is a re-issue after a late copy of the bounce got through.
+  msg::Message reissue = unlock;
+  reissue.seq = 3;
+  reissue.aux = 2;
+  actions = h[0].step(Event::msg_received(1, std::move(reissue)));
+  ack = find_send(actions, 1, msg::MsgType::UnlockAck);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->seq, 3u);
+  EXPECT_EQ(h[0].codec.apply_calls + h[1].codec.apply_calls, 1);
+  for (CoreHarness& shard : h) shard.expect_valid_trace();
+}
+
 // ---- object mode: scoped grants + pending travel at every interleaving -----
 
 namespace {

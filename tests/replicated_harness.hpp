@@ -15,8 +15,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -121,6 +123,15 @@ inline std::chrono::nanoseconds converge_replicated(
   repl.set_barrier_count(0, num_remotes + 1);
   repl.start();
 
+  // A thread that throws reports it and stops the home, which unblocks
+  // every other thread, instead of taking the whole suite down.
+  std::atomic<bool> failed{false};
+  const auto report = [&repl, &failed](const std::string& who,
+                                       const std::exception& e) {
+    ADD_FAILURE() << who << ": " << e.what();
+    failed.store(true);
+    repl.stop();
+  };
   std::atomic<int> ops_done{0};
   std::vector<std::thread> threads;
   threads.reserve(num_remotes);
@@ -129,40 +140,48 @@ inline std::chrono::nanoseconds converge_replicated(
     for (std::uint32_t s = 0; s < eps.size(); ++s) {
       eps[s] = wrap(rank, s, /*redial=*/false, std::move(eps[s]));
     }
-    threads.emplace_back([&repl, &wrap, &ops_done, rank, ops,
+    threads.emplace_back([&repl, &wrap, &ops_done, &report, rank, ops,
                           eps = std::move(eps)]() mutable {
-      dsm::ShardedRemoteOptions ropts;
-      ropts.retry = repl_fast_retry();
-      ropts.max_reconnects = 6;
-      ropts.reconnect = [&repl, &wrap, rank](std::uint32_t shard) {
-        return wrap(rank, shard, /*redial=*/true, repl.redial(rank, shard));
-      };
-      dsm::ShardedRemote remote(repl_gthv(), hdsm::plat::linux_ia32(), rank,
-                                std::move(eps), ropts);
-      for (const auto& [idx, delta] : repl_ops_of(rank, ops)) {
-        remote.lock(0);
-        auto a = remote.space().view<std::int64_t>("A");
-        a.set(idx, a.get(idx) + delta);
-        remote.unlock(0);
-        ops_done.fetch_add(1);
+      try {
+        dsm::ShardedRemoteOptions ropts;
+        ropts.retry = repl_fast_retry();
+        ropts.max_reconnects = 6;
+        ropts.reconnect = [&repl, &wrap, rank](std::uint32_t shard) {
+          return wrap(rank, shard, /*redial=*/true, repl.redial(rank, shard));
+        };
+        dsm::ShardedRemote remote(repl_gthv(), hdsm::plat::linux_ia32(),
+                                  rank, std::move(eps), ropts);
+        for (const auto& [idx, delta] : repl_ops_of(rank, ops)) {
+          remote.lock(0);
+          auto a = remote.space().view<std::int64_t>("A");
+          a.set(idx, a.get(idx) + delta);
+          remote.unlock(0);
+          ops_done.fetch_add(1);
+        }
+        remote.barrier(0);
+        remote.join();
+      } catch (const std::exception& e) {
+        report("rank " + std::to_string(rank), e);
       }
-      remote.barrier(0);
-      remote.join();
     });
   }
 
   std::chrono::nanoseconds pause{0};
-  if (failover) {
-    const int threshold =
-        std::max(1, static_cast<int>(num_remotes) * ops / 2);
-    while (ops_done.load() < threshold) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  try {
+    if (failover) {
+      const int threshold =
+          std::max(1, static_cast<int>(num_remotes) * ops / 2);
+      while (ops_done.load() < threshold && !failed.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      pause = repl.fail_over();
+      EXPECT_TRUE(repl.failed_over());
     }
-    pause = repl.fail_over();
-    EXPECT_TRUE(repl.failed_over());
+    repl.barrier(0);
+    repl.wait_all_joined();
+  } catch (const std::exception& e) {
+    report("driver", e);
   }
-  repl.barrier(0);
-  repl.wait_all_joined();
   for (std::thread& t : threads) t.join();
 
   const std::vector<std::int64_t> expected = repl_expected(num_remotes, ops);

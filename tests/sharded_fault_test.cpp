@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,34 +119,52 @@ void converge_sharded(const msg::FaultOptions& fault, std::uint32_t num_shards,
       },
       ropts);
 
+  // A thread that throws reports it and stops the home, which unblocks
+  // every other thread, instead of taking the whole suite down.
+  const auto report = [&cluster](const char* who, const std::exception& e) {
+    ADD_FAILURE() << who << ": " << e.what();
+    cluster.home().stop();
+  };
   std::atomic<bool> done{false};
   std::thread migrator;
   if (migrate) {
     migrator = std::thread([&] {
       std::uint32_t dst = 1 % num_shards;
-      while (!done.load()) {
-        cluster.home().migrate_region(0, dst);
-        dst = (dst + 1) % num_shards;
-        std::this_thread::sleep_for(500us);
+      try {
+        while (!done.load()) {
+          cluster.home().migrate_region(0, dst);
+          dst = (dst + 1) % num_shards;
+          std::this_thread::sleep_for(500us);
+        }
+      } catch (const std::exception& e) {
+        report("migrator", e);
       }
     });
   }
 
   cluster.run(
       [&](dsm::ShardedHome& home) {
-        home.set_barrier_count(0, num_remotes + 1);
-        home.barrier(0);
-        home.wait_all_joined();
+        try {
+          home.set_barrier_count(0, num_remotes + 1);
+          home.barrier(0);
+          home.wait_all_joined();
+        } catch (const std::exception& e) {
+          report("master", e);
+        }
       },
       [&](dsm::ShardedRemote& remote) {
-        for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
-          remote.lock(0);
-          auto a = remote.space().view<std::int64_t>("A");
-          a.set(idx, a.get(idx) + delta);
-          remote.unlock(0);
+        try {
+          for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
+            remote.lock(0);
+            auto a = remote.space().view<std::int64_t>("A");
+            a.set(idx, a.get(idx) + delta);
+            remote.unlock(0);
+          }
+          remote.barrier(0);
+          remote.join();
+        } catch (const std::exception& e) {
+          report(("rank " + std::to_string(remote.rank())).c_str(), e);
         }
-        remote.barrier(0);
-        remote.join();
       });
   done.store(true);
   if (migrator.joinable()) migrator.join();

@@ -11,10 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "dsm/shard_map.hpp"
 #include "dsm/sharded_cluster.hpp"
 #include "dsm/sharded_home.hpp"
 #include "dsm/sharded_remote.hpp"
-#include "dsm/shard_map.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
 #include "msg/message.hpp"
@@ -236,9 +236,9 @@ TEST(ShardMap, FrameHeaderCarriesEpochAndAux) {
 // ---- single-shard parity ---------------------------------------------------
 
 TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
-  // num_shards == 1 must be behaviorally identical to HomeNode: no
-  // redirects, no pending masks, no pulls — just the classic DSD protocol
-  // with the same converged image.
+  // num_shards == 1 is the paper's single home: no redirects, no pending
+  // masks, no pulls — just the classic DSD protocol with the same
+  // converged image.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
   opts.num_shards = 1;

@@ -1,17 +1,27 @@
-// Shared helpers for property-style tests: random TypeDesc generation and
-// random typed-image filling.
+// Shared test helpers: random TypeDesc generation, random typed-image
+// filling, and single-session endpoint plumbing.
 #pragma once
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "msg/endpoint.hpp"
 #include "platform/float_codec.hpp"
 #include "platform/int_codec.hpp"
 #include "tags/layout.hpp"
 #include "tags/type_desc.hpp"
 
 namespace hdsm::test {
+
+/// The endpoint list a one-shard ShardedRemote takes, built from a single
+/// endpoint the test dialed or wrapped itself.
+inline std::vector<msg::EndpointPtr> one_session(msg::EndpointPtr ep) {
+  std::vector<msg::EndpointPtr> eps;
+  eps.push_back(std::move(ep));
+  return eps;
+}
 
 /// A random TypeDesc of bounded depth/size: scalars, pointers, arrays,
 /// nested structs, reserved slots.
