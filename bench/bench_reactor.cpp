@@ -11,9 +11,14 @@
 //   BM_TcpReactor/N       - the same over real loopback TCP sockets
 //                           (kernel wakeups, Nagle off).
 //   BM_LatencyReactor     - happy-path round-trip time at N=4 with one
-//                           active remote.
+//                           active remote, on a one-shard home (inline
+//                           mode: the io thread runs the handler).
+//   BM_LatencyReactorLanes - the same on a two-shard home (lane mode: the
+//                           io thread hands frames to two worker lanes).
 //
-// items_per_second = lock/write/unlock rounds per second; every series also
+// items_per_second = lock/write/unlock rounds per wall-clock second (the
+// rounds run on remote and home threads, so the benchmark thread's CPU
+// time would overstate the rate); every series also
 // reports frames/flush-batches so the write-coalescing ratio lands in the
 // JSON.  Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke
 // target).
@@ -46,13 +51,20 @@ tags::TypePtr gthv() {
       "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), 64)}});
 }
 
+dsm::ShardedHomeOptions home_options(std::uint32_t shards) {
+  dsm::ShardedHomeOptions o;
+  o.num_shards = shards;
+  return o;
+}
+
 /// One home plus N attached remotes, over channels or loopback TCP.
 struct Cluster {
   dsm::ShardedHome home;
   std::unique_ptr<msg::TcpListener> listener;
   std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
 
-  Cluster(std::uint32_t n, bool tcp) : home(gthv(), plat::linux_ia32()) {
+  Cluster(std::uint32_t n, bool tcp, std::uint32_t shards = 1)
+      : home(gthv(), plat::linux_ia32(), home_options(shards)) {
     if (tcp) listener = std::make_unique<msg::TcpListener>(0);
     for (std::uint32_t r = 1; r <= n; ++r) {
       std::vector<msg::EndpointPtr> eps;
@@ -107,8 +119,8 @@ void throughput(benchmark::State& state, bool tcp) {
   report_transport(state, c.home);
 }
 
-void latency(benchmark::State& state) {
-  Cluster c(4, /*tcp=*/false);
+void latency(benchmark::State& state, std::uint32_t shards) {
+  Cluster c(4, /*tcp=*/false, shards);
   for (auto _ : state) c.round(0);  // one active stream, three idle peers
   report_transport(state, c.home);
 }
@@ -121,7 +133,7 @@ void register_series(const std::string& name, bool tcp,
   for (std::int64_t n : counts) b->Arg(n);
   // Fixed iteration counts: re-running the setup (N attaches, N full-image
   // grants) to calibrate timing would dwarf the measurement.
-  b->Iterations(iters)->Unit(benchmark::kMicrosecond);
+  b->Iterations(iters)->UseRealTime()->Unit(benchmark::kMicrosecond);
 }
 
 }  // namespace
@@ -138,11 +150,15 @@ int main(int argc, char** argv) {
                   fast ? 64 : 512);
   // Single runs sit inside scheduler jitter: report the median of several
   // repetitions so the number is stable rather than a coin flip.
-  benchmark::RegisterBenchmark("BM_LatencyReactor", latency)
-      ->Iterations(fast_mode() ? 256 : 4096)
-      ->Repetitions(fast_mode() ? 1 : 5)
-      ->ReportAggregatesOnly(true)
-      ->Unit(benchmark::kMicrosecond);
+  for (const std::uint32_t shards : {1u, 2u}) {
+    benchmark::RegisterBenchmark(
+        shards == 1 ? "BM_LatencyReactor" : "BM_LatencyReactorLanes",
+        [shards](benchmark::State& s) { latency(s, shards); })
+        ->Iterations(fast ? 256 : 4096)
+        ->Repetitions(fast ? 1 : 5)
+        ->ReportAggregatesOnly(true)
+        ->Unit(benchmark::kMicrosecond);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

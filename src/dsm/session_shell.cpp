@@ -43,16 +43,12 @@ void SessionShell::ReactorBridge::on_peer_closed(msg::PeerId peer) {
   shell->reactor_closed(gen16_of(peer), group_of(peer), rank_of(peer));
 }
 
-SessionShell::SessionShell(const ShellOptions& opts, Callbacks cbs,
+SessionShell::SessionShell(std::uint32_t lanes, Callbacks cbs,
                            obs::Telemetry* telemetry)
     : cbs_(std::move(cbs)) {
   bridge_.shell = this;
   msg::ReactorOptions ro;
-  ro.io_threads = opts.io_threads;
-  ro.lanes = opts.lanes == 0 ? 1 : opts.lanes;
-  ro.ring_capacity = opts.ring_capacity;
-  ro.max_write_queue_bytes = opts.max_write_queue_bytes;
-  ro.flush_delay = opts.flush_delay;
+  ro.lanes = lanes;
   ro.telemetry = telemetry;
   reactor_ = std::make_unique<msg::Reactor>(ro, bridge_);
 }

@@ -6,11 +6,13 @@
 // the active window, reap the old incarnation, install the new one) and
 // attach-generation filtering of stale transport failures.
 //
-// Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md) — a
-// fixed pool of io threads multiplexes every endpoint, worker lanes deliver
-// messages, and sends are asynchronous (failures surface as the session's
-// closed callback, never as a send error).  A group's sessions share a
-// lane, so per-group callbacks are serialized.
+// Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md): one
+// io thread multiplexes every endpoint and delivers messages itself (one
+// lane, inline mode) or through worker lanes, and sends are asynchronous
+// (failures surface as the session's closed callback, never as a send
+// error).  A group's sessions share a lane, so per-group callbacks are
+// serialized.  The shell has no settings of its own: the home passes the
+// lane count it derives from its shard count.
 //
 // Callback contract: on_message / on_closed are invoked with NO shell lock
 // held; implementations take their own state locks and may call handle(),
@@ -19,7 +21,6 @@
 // wait on the very threads the callbacks run on).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -35,20 +36,6 @@ class Telemetry;
 }
 
 namespace hdsm::dsm {
-
-struct ShellOptions {
-  /// Reactor io threads.
-  std::uint32_t io_threads = 1;
-  /// Reactor worker lanes; 0 = auto (the home picks one lane per shard,
-  /// capped).
-  std::uint32_t lanes = 0;
-  /// Reactor ring capacity per (io, lane) direction.
-  std::size_t ring_capacity = 1024;
-  /// Per-session outbound byte bound before slow-consumer eviction.
-  std::size_t max_write_queue_bytes = std::size_t{64} << 20;
-  /// Reactor write-coalescing window (0 = flush every wakeup).
-  std::chrono::microseconds flush_delay{0};
-};
 
 class SessionShell {
  public:
@@ -71,9 +58,10 @@ class SessionShell {
     msg::PeerId peer = 0;
   };
 
-  /// `telemetry` may be null; it must outlive the shell.
-  SessionShell(const ShellOptions& opts, Callbacks cbs,
-               obs::Telemetry* telemetry);
+  /// `lanes` reactor worker lanes; 1 runs the callbacks inline on the io
+  /// thread (docs/TRANSPORT.md §2).  `telemetry` may be null; it must
+  /// outlive the shell.
+  SessionShell(std::uint32_t lanes, Callbacks cbs, obs::Telemetry* telemetry);
   ~SessionShell();  // stop()s
 
   SessionShell(const SessionShell&) = delete;

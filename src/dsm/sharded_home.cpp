@@ -78,14 +78,6 @@ CoherenceConfig shard_core_config(const ShardedHomeOptions& opts,
   return cfg;
 }
 
-ShellOptions resolve_shell(ShellOptions s, std::uint32_t num_shards) {
-  // One lane per shard keeps per-shard event delivery serialized (a lane
-  // never runs two callbacks at once); past 8 shards lanes are shared —
-  // correct either way, since every callback takes its shard's state lock.
-  if (s.lanes == 0) s.lanes = std::min(num_shards, 8u);
-  return s;
-}
-
 }  // namespace
 
 ShardedHome::Shard::Shard(std::uint32_t idx, ShardedHome& owner)
@@ -118,8 +110,12 @@ ShardedHome::ShardedHome(tags::TypePtr gthv,
   // shared, so they have no natural shard and the scrape anchor hosts them.
   engine_.set_trace(shards_[0]->trace, kMasterRank);
   engine_.set_obs(telemetry_.get());
+  // One lane per shard keeps per-shard event delivery serialized (a lane
+  // never runs two callbacks at once); one shard runs inline on the io
+  // thread, and past 8 shards lanes are shared — correct either way, since
+  // every callback takes its shard's state lock.
   shell_ = std::make_unique<SessionShell>(
-      resolve_shell(opts_.shell, opts_.num_shards),
+      std::min(opts_.num_shards, 8u),
       SessionShell::Callbacks{
           [this](std::uint32_t group, std::uint32_t rank, msg::Message&& m) {
             if (rank == kReplSessionRank) {

@@ -10,8 +10,8 @@
 // (docs/SHARDING.md; N = 1 is the paper's single home), each a full
 // sans-I/O `CoherenceCore` behind its own state mutex, served by one
 // reactor-driven transport shell (`SessionShell`, docs/TRANSPORT.md) with
-// each shard's sessions pinned to one worker lane so per-shard event
-// delivery stays serialized.  A region (mutex index i + barrier index i) is
+// each shard's sessions pinned to one lane (at one shard, the io thread
+// itself) so per-shard event delivery stays serialized.  A region (mutex index i + barrier index i) is
 // owned by exactly one shard at a time; the authoritative region→shard map
 // is a `ShardMap` whose epoch travels in every frame header, so remotes
 // revalidate lazily — a request routed by a stale map is bounced with
@@ -77,9 +77,6 @@ struct ShardedHomeOptions {
   std::vector<TraceLog*> shard_traces;
   /// Telemetry (docs/OBSERVABILITY.md); the scrape anchor is shard 0.
   obs::ObsOptions obs;
-  /// Transport shell (docs/TRANSPORT.md).  lanes == 0 resolves to one
-  /// reactor lane per shard (capped), preserving per-shard serialization.
-  ShellOptions shell;
   /// Primary/standby replication client (docs/REPLICATION.md); not owned.
   /// When set, every event each shard applies is appended to the standby's
   /// log — synchronously, before the event's sends externalize — and a

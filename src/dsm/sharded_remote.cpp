@@ -39,6 +39,12 @@ std::uint32_t incarnation_epoch(std::uint32_t rank) {
   return epoch == 0 ? 1u : epoch;
 }
 
+ShardedRemoteOptions with_dsd(const DsdOptions& dsd) {
+  ShardedRemoteOptions o;
+  o.dsd = dsd;
+  return o;
+}
+
 }  // namespace
 
 ShardedRemote::ShardedRemote(tags::TypePtr gthv,
@@ -90,7 +96,7 @@ ShardedRemote::ShardedRemote(tags::TypePtr gthv,
                              std::vector<msg::EndpointPtr> endpoints,
                              DsdOptions opts)
     : ShardedRemote(gthv, platform, rank, std::move(endpoints),
-                    ShardedRemoteOptions{.dsd = opts}) {}
+                    with_dsd(opts)) {}
 
 ShardedRemote::~ShardedRemote() {
   if (space_.region().tracking()) space_.region().end_tracking();

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -23,26 +24,26 @@ namespace hdsm::msg {
 
 namespace {
 
-/// Ceiling on io threads / lanes so dirty sets fit one 64-bit mask.
-constexpr std::uint32_t kMaxThreads = 64;
+/// Ceiling on lanes so the dirty-lane set fits one 64-bit mask.
+constexpr std::uint32_t kMaxLanes = 64;
 
-std::uint32_t clamp_threads(std::uint32_t n) {
-  return std::max(1u, std::min(n, kMaxThreads));
-}
+/// Cadence of Endpoint::service() for hooks that request it (fault
+/// decorators flush time-bounded holdbacks there).
+constexpr std::chrono::milliseconds kServiceInterval{5};
 
 }  // namespace
 
 struct Reactor::Impl {
   struct Peer;
 
-  /// The wake funnel for one io thread.  Owned jointly by the reactor and
-  /// by every endpoint ready-callback that captured it: a callback firing
+  /// The io thread's wake funnel.  Owned jointly by the reactor and by
+  /// every endpoint ready-callback that captured it: a callback firing
   /// after the reactor died still finds live state (the eventfd write goes
   /// nowhere, harmlessly) instead of dangling pointers.
   struct IoSignal {
     std::mutex mu;
     std::vector<std::shared_ptr<Peer>> ready;
-    /// Set (under `mu`) once the io threads are joined.  `ready` entries
+    /// Set (under `mu`) once the io thread is joined.  `ready` entries
     /// own their Peer, the Peer owns its endpoint, and the endpoint's
     /// ready-callback owns this signal — a cycle no destructor runs for.
     /// stop() clears the vector and closes the funnel so a late callback
@@ -60,13 +61,12 @@ struct Reactor::Impl {
     }
   };
 
-  /// Per-connection state.  Fields below the marker are owned by the
-  /// peer's io thread; other threads only touch `id`/`lane`/`io`/`ep`
-  /// (immutable after add) and the `ready` latch.
+  /// Per-connection state.  Fields below the marker are owned by the io
+  /// thread; other threads only touch `id`/`lane`/`ep` (immutable after
+  /// add) and the `ready` latch.
   struct Peer {
     PeerId id = 0;
     std::uint32_t lane = 0;
-    std::uint32_t io = 0;
     std::shared_ptr<Endpoint> ep;
     ReactorHook hook;
     /// Callback latch: set on ready-signal, cleared by the io thread just
@@ -82,7 +82,6 @@ struct Reactor::Impl {
     std::vector<Message> out;  ///< outbound FIFO (contiguous for send_some)
     std::size_t out_head = 0;
     std::size_t out_bytes = 0;
-    std::chrono::steady_clock::time_point flush_deadline{};
     bool in_flush = false;
     bool in_redrain = false;
     bool epollout = false;
@@ -90,8 +89,8 @@ struct Reactor::Impl {
     bool closed = false;      ///< retired (closed marker emitted or queued)
   };
 
-  /// One flush() barrier: counts the sentinel acks still outstanding
-  /// (io_threads × lanes of them).
+  /// One flush() barrier: counts the sentinel acks still outstanding (one
+  /// per lane).
   struct FlushTicket {
     std::mutex mu;
     std::condition_variable cv;
@@ -107,8 +106,9 @@ struct Reactor::Impl {
   };
 
   /// Inbound handoff: one decoded frame (or the closed marker) on its way
-  /// from an io thread to a lane.  A null peer with a ticket is a flush
-  /// sentinel: everything the io queued before it has been delivered.
+  /// from the io thread to a lane.  A null peer with a ticket is a flush
+  /// sentinel: everything the io thread queued before it has been
+  /// delivered.
   struct InItem {
     std::shared_ptr<Peer> peer;
     Message m;
@@ -122,31 +122,12 @@ struct Reactor::Impl {
     Message m;
   };
 
-  struct Io {
-    std::uint32_t index = 0;
-    int epfd = -1;
-    std::shared_ptr<IoSignal> signal;
-    std::mutex inbox_mu;
-    std::vector<Command> inbox;
-    std::thread thr;
-
-    // -- io-thread-local --
-    std::unordered_map<PeerId, std::shared_ptr<Peer>> peers;
-    std::vector<std::shared_ptr<Peer>> service;   ///< needs_service hooks
-    std::vector<std::shared_ptr<Peer>> redrain;   ///< inbound ring was full
-    std::vector<std::shared_ptr<Peer>> closed_backlog;  ///< marker retry
-    std::vector<std::shared_ptr<Peer>> flush_list;      ///< queued output
-    std::vector<std::shared_ptr<FlushTicket>> flush_waiters;  ///< barriers
-    /// Peers retired this iteration: keeps epoll_event.data.ptr valid for
-    /// the rest of the batch; cleared at the top of the next iteration.
-    std::vector<std::shared_ptr<Peer>> retired;
-    std::uint64_t lane_dirty = 0;  ///< lanes with fresh ring pushes
-    /// This iteration's timestamp; inline-mode handler sends reuse it
-    /// instead of taking another clock reading per reply.
-    std::chrono::steady_clock::time_point now{};
-  };
-
+  /// One worker lane: its two rings, its thread and its wake latch.
   struct Lane {
+    explicit Lane(std::size_t ring_capacity)
+        : in(ring_capacity), out(ring_capacity) {}
+    SpscRing<InItem> in;    ///< producer = io thread, consumer = the lane
+    SpscRing<OutItem> out;  ///< producer = the lane, consumer = io thread
     std::thread thr;
     std::mutex mu;
     std::condition_variable cv;
@@ -154,47 +135,55 @@ struct Reactor::Impl {
   };
 
   /// Set while a lane thread runs its loop; routes handler-issued sends
-  /// onto the lock-free completion rings instead of the command inbox.
+  /// onto the lock-free completion ring instead of the command inbox.
   struct LaneCtx {
     Impl* impl = nullptr;
     std::uint32_t lane = 0;
     std::unordered_map<PeerId, std::shared_ptr<Peer>>* cache = nullptr;
-    std::uint64_t pending_io_wakes = 0;
+    bool wake_io = false;  ///< completions pushed since the last io wake
   };
   static thread_local LaneCtx* tl_lane;
 
-  /// Set while an io thread runs its loop (inline mode): handler-issued
-  /// replies enqueue straight onto the peer's write queue — the io thread
-  /// owns all io state, so no ring and no wake are needed.
-  struct IoCtx {
-    Impl* impl = nullptr;
-    Io* io = nullptr;
-  };
-  static thread_local IoCtx* tl_io;
+  /// Set on the io thread in inline mode: handler-issued replies enqueue
+  /// straight onto the peer's write queue — the io thread owns all io
+  /// state, so no ring and no wake are needed.
+  static thread_local Impl* tl_inline;
 
   ReactorOptions opts_;
   ReactorHandler& handler_;
-  /// Inline mode: with one io thread and one lane there is nothing to
-  /// overlap, so the io thread invokes the handler directly — no rings, no
-  /// lane thread, and two fewer context switches per round trip (on a
-  /// single core that halves the happy-path latency).  Closed events are
-  /// still deferred through closed_backlog so an eviction triggered by a
-  /// handler-issued send never re-enters the handler.
+  /// Inline mode (one lane): nothing to overlap, so the io thread invokes
+  /// the handler directly — no rings, no lane thread, and two fewer
+  /// context switches per round trip (on a single core that halves the
+  /// happy-path latency).  Closed events are still deferred through
+  /// closed_backlog_ so an eviction triggered by a handler-issued send
+  /// never re-enters the handler.
   bool inline_ = false;
 
   std::mutex registry_mu_;
   std::unordered_map<PeerId, std::shared_ptr<Peer>> registry_;
-  std::atomic<std::uint32_t> next_io_{0};
 
-  std::vector<std::unique_ptr<Io>> ios_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  /// in_rings_[io][lane]: producer = io thread, consumer = lane.
-  std::vector<std::vector<std::unique_ptr<SpscRing<InItem>>>> in_rings_;
-  /// out_rings_[lane][io]: producer = lane, consumer = io thread.
-  std::vector<std::vector<std::unique_ptr<SpscRing<OutItem>>>> out_rings_;
+  int epfd_ = -1;
+  std::shared_ptr<IoSignal> signal_ = std::make_shared<IoSignal>();
+  std::mutex inbox_mu_;
+  std::vector<Command> inbox_;
+  std::thread io_thr_;
+
+  std::vector<std::unique_ptr<Lane>> lanes_;  ///< empty in inline mode
+
+  // -- io-thread-local --
+  std::unordered_map<PeerId, std::shared_ptr<Peer>> peers_;
+  std::vector<std::shared_ptr<Peer>> service_;   ///< needs_service hooks
+  std::vector<std::shared_ptr<Peer>> redrain_;   ///< inbound ring was full
+  std::vector<std::shared_ptr<Peer>> closed_backlog_;  ///< marker retry
+  std::vector<std::shared_ptr<Peer>> flush_list_;      ///< queued output
+  std::vector<std::shared_ptr<FlushTicket>> flush_waiters_;  ///< barriers
+  /// Peers retired this iteration: keeps epoll_event.data.ptr valid for
+  /// the rest of the batch; cleared at the top of the next iteration.
+  std::vector<std::shared_ptr<Peer>> retired_;
+  std::uint64_t lane_dirty_ = 0;  ///< lanes with fresh ring pushes
 
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint32_t> ios_running_{0};
+  std::atomic<bool> io_running_{false};
   std::mutex join_mu_;
   bool joined_ = false;
 
@@ -214,10 +203,8 @@ struct Reactor::Impl {
 
   Impl(const ReactorOptions& opts, ReactorHandler& handler)
       : opts_(opts), handler_(handler) {
-    opts_.io_threads = clamp_threads(opts_.io_threads);
-    opts_.lanes = clamp_threads(opts_.lanes);
-    inline_ = opts_.io_threads == 1 && opts_.lanes == 1;
-    if (opts_.ring_capacity < 2) opts_.ring_capacity = 2;
+    opts_.lanes = std::clamp(opts_.lanes, 1u, kMaxLanes);
+    inline_ = opts_.lanes == 1;
     if (obs::Telemetry* t = opts_.telemetry) {
       c_frames_in_ = &t->registry().counter("reactor.frames_in");
       c_frames_out_ = &t->registry().counter("reactor.frames_out");
@@ -226,58 +213,33 @@ struct Reactor::Impl {
       c_backpressure_ = &t->registry().counter("reactor.backpressure_closes");
       g_queue_bytes_ = &t->registry().gauge("reactor.write_queue_bytes");
     }
-    in_rings_.resize(opts_.io_threads);
-    for (auto& row : in_rings_) {
-      row.reserve(opts_.lanes);
-      for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-        row.push_back(std::make_unique<SpscRing<InItem>>(opts_.ring_capacity));
-      }
+    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epfd_ < 0 || signal_->evfd < 0) {
+      throw std::runtime_error("reactor: epoll/eventfd creation failed");
     }
-    out_rings_.resize(opts_.lanes);
-    for (auto& row : out_rings_) {
-      row.reserve(opts_.io_threads);
-      for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-        row.push_back(
-            std::make_unique<SpscRing<OutItem>>(opts_.ring_capacity));
-      }
-    }
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      auto io = std::make_unique<Io>();
-      io->index = i;
-      io->signal = std::make_shared<IoSignal>();
-      io->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (io->epfd < 0 || io->signal->evfd < 0) {
-        throw std::runtime_error("reactor: epoll/eventfd creation failed");
-      }
-      epoll_event ev{};
-      // Edge-triggered: each write posts one wake and the counter value is
-      // never consumed (the ready funnel / inbox carry the actual work), so
-      // the io thread never has to spend read() syscalls draining the
-      // eventfd — those reads sat directly on the wakeup-to-handler path.
-      ev.events = EPOLLIN | EPOLLET;
-      ev.data.ptr = nullptr;  // nullptr = the wake eventfd
-      ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, io->signal->evfd, &ev);
-      ios_.push_back(std::move(io));
-    }
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      lanes_.push_back(std::make_unique<Lane>());
-    }
-    ios_running_.store(opts_.io_threads);
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      ios_[i]->thr = std::thread([this, i] { io_loop(i); });
-    }
+    epoll_event ev{};
+    // Edge-triggered: each write posts one wake and the counter value is
+    // never consumed (the ready funnel / inbox carry the actual work), so
+    // the io thread never has to spend read() syscalls draining the
+    // eventfd — those reads sat directly on the wakeup-to-handler path.
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.ptr = nullptr;  // nullptr = the wake eventfd
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, signal_->evfd, &ev);
     if (!inline_) {
       for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-        lanes_[l]->thr = std::thread([this, l] { lane_loop(l); });
+        lanes_.push_back(std::make_unique<Lane>(opts_.ring_capacity));
       }
+    }
+    io_running_.store(true);
+    io_thr_ = std::thread([this] { io_loop(); });
+    for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
+      lanes_[l]->thr = std::thread([this, l] { lane_loop(l); });
     }
   }
 
   ~Impl() {
     stop();
-    for (auto& io : ios_) {
-      if (io->epfd >= 0) ::close(io->epfd);
-    }
+    if (epfd_ >= 0) ::close(epfd_);
   }
 
   // -- counters ---------------------------------------------------------------
@@ -297,8 +259,6 @@ struct Reactor::Impl {
     auto p = std::make_shared<Peer>();
     p->id = id;
     p->lane = lane % opts_.lanes;
-    p->io = next_io_.fetch_add(1, std::memory_order_relaxed) %
-            opts_.io_threads;
     p->ep = std::move(ep);
     {
       std::lock_guard<std::mutex> lk(registry_mu_);
@@ -309,7 +269,7 @@ struct Reactor::Impl {
     // Install the hook before posting the add: a message already queued on
     // the endpoint latches the funnel right away, so nothing is missed in
     // the window before the io thread installs the peer.
-    std::shared_ptr<IoSignal> sig = ios_[p->io]->signal;
+    std::shared_ptr<IoSignal> sig = signal_;
     std::weak_ptr<Peer> wp = p;
     p->hook = p->ep->reactor_hook([sig, wp] {
       std::shared_ptr<Peer> sp = wp.lock();
@@ -331,8 +291,7 @@ struct Reactor::Impl {
       registry_.erase(id);
       throw std::invalid_argument("reactor: endpoint is not reactor-capable");
     }
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Add, std::move(p), {}, {}});
+    post(Command{Command::Kind::Add, std::move(p), {}, {}});
   }
 
   void remove_peer(PeerId id) {
@@ -347,23 +306,21 @@ struct Reactor::Impl {
     // reply its handler produces moments later must not beat the Remove
     // command to the wire.
     p->dead.store(true, std::memory_order_release);
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Remove, std::move(p), {}, {}});
+    post(Command{Command::Kind::Remove, std::move(p), {}, {}});
   }
 
   void send(PeerId id, Message m) {
     if (stop_.load(std::memory_order_acquire)) return;
-    IoCtx* ictx = tl_io;
-    if (ictx != nullptr && ictx->impl == this) {
+    if (tl_inline == this) {
       // Inline mode: the handler is running on the io thread itself, which
       // owns every peer's write queue — enqueue directly, no ring, no wake.
-      auto it = ictx->io->peers.find(id);
-      if (it != ictx->io->peers.end()) {
-        enqueue_out(*ictx->io, it->second, std::move(m), ictx->io->now);
+      auto it = peers_.find(id);
+      if (it != peers_.end()) {
+        enqueue_out(it->second, std::move(m));
         return;
       }
-      // Not installed on this io yet (Add still in the inbox): fall through
-      // to the command path, which lands after the Add.
+      // Not installed yet (Add still in the inbox): fall through to the
+      // command path, which lands after the Add.
     }
     LaneCtx* ctx = tl_lane;
     if (ctx != nullptr && ctx->impl == this) {
@@ -372,17 +329,16 @@ struct Reactor::Impl {
         if (it->second->dead.load(std::memory_order_acquire)) return;
         // Hot path: handler reply on the lane that processed the request —
         // straight onto the lock-free completion ring.
-        const std::uint32_t io = it->second->io;
-        auto& ring = *out_rings_[ctx->lane][io];
+        auto& ring = lanes_[ctx->lane]->out;
         OutItem item{it->second, std::move(m)};
         while (!ring.push(std::move(item))) {
           // Ring full: nudge the consumer and retry — completions must not
           // drop.  The io thread never blocks, so this drains.
-          ios_[io]->signal->wake();
+          signal_->wake();
           if (stop_.load(std::memory_order_acquire)) return;
           std::this_thread::yield();
         }
-        ctx->pending_io_wakes |= std::uint64_t{1} << io;
+        ctx->wake_io = true;
         return;
       }
       // Cache miss: this lane has never handled a message from `id` (and
@@ -397,22 +353,19 @@ struct Reactor::Impl {
       p = it->second;
     }
     if (p->dead.load(std::memory_order_acquire)) return;
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Send, std::move(p), std::move(m), {}});
+    post(Command{Command::Kind::Send, std::move(p), std::move(m), {}});
   }
 
   /// Settlement barrier: returns once every command posted before the call
-  /// has executed, its queued writes were attempted (coalescing deadlines
-  /// overridden), and every resulting message / closed event was delivered
-  /// by the lanes.  Events triggered by handlers running concurrently with
-  /// the flush are NOT covered.  Never call from a reactor thread.
+  /// has executed, its queued writes were attempted, and every resulting
+  /// message / closed event was delivered by the lanes.  Events triggered
+  /// by handlers running concurrently with the flush are NOT covered.
+  /// Never call from a reactor thread.
   void flush() {
     if (stop_.load(std::memory_order_acquire)) return;
     auto t = std::make_shared<FlushTicket>();
-    t->remaining = static_cast<std::size_t>(opts_.io_threads) * opts_.lanes;
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      post(i, Command{Command::Kind::Flush, nullptr, {}, t});
-    }
+    t->remaining = opts_.lanes;
+    post(Command{Command::Kind::Flush, nullptr, {}, t});
     std::unique_lock<std::mutex> lk(t->mu);
     while (t->remaining != 0 && !stop_.load(std::memory_order_acquire)) {
       t->cv.wait_for(lk, std::chrono::milliseconds(50));
@@ -424,14 +377,12 @@ struct Reactor::Impl {
     std::lock_guard<std::mutex> lk(join_mu_);
     if (joined_) return;
     joined_ = true;
-    for (auto& io : ios_) io->signal->wake();
-    for (auto& io : ios_) {
-      if (io->thr.joinable()) io->thr.join();
-    }
-    for (auto& io : ios_) {
-      std::lock_guard<std::mutex> lk(io->signal->mu);
-      io->signal->closed = true;
-      io->signal->ready.clear();
+    signal_->wake();
+    if (io_thr_.joinable()) io_thr_.join();
+    {
+      std::lock_guard<std::mutex> slk(signal_->mu);
+      signal_->closed = true;
+      signal_->ready.clear();
     }
     for (auto& ln : lanes_) wake_lane(*ln);
     for (auto& ln : lanes_) {
@@ -453,13 +404,12 @@ struct Reactor::Impl {
 
   // -- wake plumbing ----------------------------------------------------------
 
-  void post(std::uint32_t io, Command cmd) {
-    Io& target = *ios_[io];
+  void post(Command cmd) {
     {
-      std::lock_guard<std::mutex> lk(target.inbox_mu);
-      target.inbox.push_back(std::move(cmd));
+      std::lock_guard<std::mutex> lk(inbox_mu_);
+      inbox_.push_back(std::move(cmd));
     }
-    target.signal->wake();
+    signal_->wake();
   }
 
   void wake_lane(Lane& ln) {
@@ -468,6 +418,21 @@ struct Reactor::Impl {
       ln.signaled = true;
     }
     ln.cv.notify_one();
+  }
+
+  void wake_dirty_lanes() {
+    while (lane_dirty_ != 0) {
+      const int l = __builtin_ctzll(lane_dirty_);
+      lane_dirty_ &= lane_dirty_ - 1;
+      wake_lane(*lanes_[static_cast<std::uint32_t>(l)]);
+    }
+  }
+
+  /// Count one sentinel ack against a flush barrier.
+  static void ack(FlushTicket& t) {
+    std::lock_guard<std::mutex> lk(t.mu);
+    if (t.remaining > 0) --t.remaining;
+    if (t.remaining == 0) t.cv.notify_all();
   }
 
   // -- io-thread internals ----------------------------------------------------
@@ -490,8 +455,7 @@ struct Reactor::Impl {
     }
   }
 
-  bool push_in(Io& io, const std::shared_ptr<Peer>& p, Message&& m,
-               bool closed) {
+  bool push_in(const std::shared_ptr<Peer>& p, Message&& m, bool closed) {
     if (inline_) {
       // Messages run the handler right here (drain_peer and the command
       // loop are never inside a handler); closed markers are deferred by
@@ -499,16 +463,15 @@ struct Reactor::Impl {
       dispatch_message(p->id, std::move(m));
       return true;
     }
-    auto& ring = *in_rings_[io.index][p->lane];
     InItem item{p, std::move(m), closed, {}};
-    if (!ring.push(std::move(item))) return false;
-    io.lane_dirty |= std::uint64_t{1} << p->lane;
+    if (!lanes_[p->lane]->in.push(std::move(item))) return false;
+    lane_dirty_ |= std::uint64_t{1} << p->lane;
     return true;
   }
 
   /// Close and unhook `p`, dropping queued output; the closed marker rides
   /// the inbound ring so it lands after every already-delivered message.
-  void retire_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  void retire_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     p->closed = true;
     try {
@@ -516,7 +479,7 @@ struct Reactor::Impl {
     } catch (...) {
     }
     if (p->registered && p->hook.fd >= 0) {
-      ::epoll_ctl(io.epfd, EPOLL_CTL_DEL, p->hook.fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, p->hook.fd, nullptr);
     }
     p->registered = false;
     p->out.clear();
@@ -527,80 +490,92 @@ struct Reactor::Impl {
       auto it = registry_.find(p->id);
       if (it != registry_.end() && it->second == p) registry_.erase(it);
     }
-    auto it = io.peers.find(p->id);
-    if (it != io.peers.end() && it->second == p) {
-      io.retired.push_back(p);  // keep alive through this event batch
-      io.peers.erase(it);
+    auto it = peers_.find(p->id);
+    if (it != peers_.end() && it->second == p) {
+      retired_.push_back(p);  // keep alive through this event batch
+      peers_.erase(it);
     }
     if (inline_) {
       // Defer: retire_peer may run inside a handler (a reply that trips
       // the backpressure bound), and on_peer_closed must not re-enter.
       // The io loop delivers the backlog at top level.
-      io.closed_backlog.push_back(p);
-    } else if (!push_in(io, p, Message{}, /*closed=*/true)) {
-      io.closed_backlog.push_back(p);
+      closed_backlog_.push_back(p);
+    } else if (!push_in(p, Message{}, /*closed=*/true)) {
+      closed_backlog_.push_back(p);
+    }
+  }
+
+  /// Deliver parked closed markers: inline mode runs the handler (only
+  /// ever called at the top level of the io loop), lane mode retries the
+  /// ring push.
+  void deliver_closed_backlog() {
+    if (closed_backlog_.empty()) return;
+    std::vector<std::shared_ptr<Peer>> list;
+    list.swap(closed_backlog_);
+    for (const auto& p : list) {
+      if (inline_) {
+        dispatch_closed(p->id);
+      } else if (!push_in(p, Message{}, true)) {
+        closed_backlog_.push_back(p);
+      }
     }
   }
 
   /// Pull every decodable frame off `p` into its lane ring (frame
   /// batching).  A full ring parks the peer on the redrain list — no drop,
   /// no block.
-  void drain_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  void drain_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     p->ready.store(false, std::memory_order_release);
     for (;;) {
-      if (!inline_) {
-        auto& ring = *in_rings_[io.index][p->lane];
-        if (!ring.can_push()) {
-          bump(ring_stalls_, c_ring_stalls_);
-          if (!p->in_redrain) {
-            p->in_redrain = true;
-            io.redrain.push_back(p);
-          }
-          return;
+      if (!inline_ && !lanes_[p->lane]->in.can_push()) {
+        bump(ring_stalls_, c_ring_stalls_);
+        if (!p->in_redrain) {
+          p->in_redrain = true;
+          redrain_.push_back(p);
         }
+        return;
       }
       Message m;
       bool got = false;
       try {
         got = p->ep->try_recv(m);
       } catch (const ChannelClosed&) {
-        retire_peer(io, p);
+        retire_peer(p);
         return;
       } catch (const std::exception& e) {
         // Frame-decode error from a misbehaving transport: close and let
         // the shell detach it like a crashed cluster member.
         std::fprintf(stderr, "hdsm reactor: closing peer %llu: %s\n",
                      static_cast<unsigned long long>(p->id), e.what());
-        retire_peer(io, p);
+        retire_peer(p);
         return;
       }
       if (!got) return;
       bump(frames_in_, c_frames_in_);
-      push_in(io, p, std::move(m), false);
+      push_in(p, std::move(m), false);
     }
   }
 
-  void arm_epollout(Io& io, Peer& p) {
+  void arm_epollout(Peer& p) {
     if (p.hook.fd < 0 || p.epollout || !p.registered) return;
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT;
     ev.data.ptr = &p;
-    ::epoll_ctl(io.epfd, EPOLL_CTL_MOD, p.hook.fd, &ev);
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, p.hook.fd, &ev);
     p.epollout = true;
   }
 
-  void disarm_epollout(Io& io, Peer& p) {
+  void disarm_epollout(Peer& p) {
     if (p.hook.fd < 0 || !p.epollout || !p.registered) return;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = &p;
-    ::epoll_ctl(io.epfd, EPOLL_CTL_MOD, p.hook.fd, &ev);
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, p.hook.fd, &ev);
     p.epollout = false;
   }
 
-  void enqueue_out(Io& io, const std::shared_ptr<Peer>& p, Message&& m,
-                   std::chrono::steady_clock::time_point now) {
+  void enqueue_out(const std::shared_ptr<Peer>& p, Message&& m) {
     if (p->closed || p->dead.load(std::memory_order_acquire)) return;
     const std::size_t sz = m.wire_size();
     if (p->out_bytes + sz > opts_.max_write_queue_bytes) {
@@ -612,27 +587,25 @@ struct Reactor::Impl {
                    "hdsm reactor: evicting slow consumer peer %llu "
                    "(%zu queued bytes)\n",
                    static_cast<unsigned long long>(p->id), p->out_bytes);
-      retire_peer(io, p);
+      retire_peer(p);
       return;
     }
     p->out.push_back(std::move(m));
     p->out_bytes += sz;
     if (!p->in_flush) {
       p->in_flush = true;
-      p->flush_deadline =
-          opts_.flush_delay.count() == 0 ? now : now + opts_.flush_delay;
-      io.flush_list.push_back(p);
+      flush_list_.push_back(p);
     }
   }
 
   /// Hand the queued FIFO to the endpoint in gathered batches.  Partial
   /// progress (kernel buffer full) arms EPOLLOUT and leaves the tail
   /// queued.
-  void flush_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  void flush_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     try {
       if (p->ep->wants_write() && !p->ep->flush_writes()) {
-        arm_epollout(io, *p);
+        arm_epollout(*p);
         return;
       }
       while (p->out_head < p->out.size()) {
@@ -647,18 +620,18 @@ struct Reactor::Impl {
           p->out_head += k;
         }
         if (k < n || p->ep->wants_write()) {
-          arm_epollout(io, *p);
+          arm_epollout(*p);
           break;
         }
       }
     } catch (const std::exception&) {
-      retire_peer(io, p);
+      retire_peer(p);
       return;
     }
     if (p->out_head >= p->out.size()) {
       p->out.clear();
       p->out_head = 0;
-      if (!p->ep->wants_write()) disarm_epollout(io, *p);
+      if (!p->ep->wants_write()) disarm_epollout(*p);
     } else if (p->out_head > 1024) {
       p->out.erase(p->out.begin(),
                    p->out.begin() + static_cast<std::ptrdiff_t>(p->out_head));
@@ -666,308 +639,241 @@ struct Reactor::Impl {
     }
   }
 
-  void install_peer(Io& io, const std::shared_ptr<Peer>& p) {
-    io.peers[p->id] = p;
-    if (p->hook.fd >= 0) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;  // level-triggered: pre-add data re-fires
-      ev.data.ptr = p.get();
-      if (::epoll_ctl(io.epfd, EPOLL_CTL_ADD, p->hook.fd, &ev) != 0) {
-        retire_peer(io, p);
-        return;
-      }
-      p->registered = true;
-    }
-    if (p->hook.needs_service) io.service.push_back(p);
-    drain_peer(io, p);  // anything that arrived before the install
-  }
-
-  int compute_timeout(const Io& io,
-                      std::chrono::steady_clock::time_point next_service) {
-    if (stop_.load(std::memory_order_acquire) || io.lane_dirty != 0 ||
-        !io.redrain.empty() || !io.closed_backlog.empty() ||
-        !io.flush_waiters.empty()) {
-      return 0;
-    }
-    auto best = std::chrono::steady_clock::time_point::max();
-    if (!io.service.empty()) best = next_service;
-    for (const auto& p : io.flush_list) {
-      if (!p->closed && p->flush_deadline < best) best = p->flush_deadline;
-    }
-    // Only take a clock reading when a deadline is actually pending: on a
-    // single core every instruction between the last reply and re-blocking
-    // delays the next request, and the common happy-path iteration re-blocks
-    // with nothing queued.
-    if (best == std::chrono::steady_clock::time_point::max()) return -1;
-    const auto now = std::chrono::steady_clock::now();
-    if (best <= now) return 0;
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        best - now)
-                        .count() +
-                    1;
-    return static_cast<int>(std::min<long long>(ms, 60'000));
-  }
-
-  /// Deliver one flush barrier's sentinels to every lane ring of this io —
-  /// all-or-nothing, so a full ring just retries next iteration.
-  bool push_flush_sentinels(Io& io, const std::shared_ptr<FlushTicket>& t) {
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      if (!in_rings_[io.index][l]->can_push()) return false;
-    }
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      InItem item;
-      item.ticket = t;
-      in_rings_[io.index][l]->push(std::move(item));
-      io.lane_dirty |= std::uint64_t{1} << l;
-    }
-    return true;
-  }
-
-  void service_flush_waiters(Io& io) {
-    if (io.flush_waiters.empty() || !io.closed_backlog.empty() ||
-        !io.redrain.empty()) {
-      return;
-    }
-    if (inline_) {
-      // No lanes to chase: every event queued before this point already ran
-      // its handler on this thread, so the barrier settles right here.
-      for (auto& t : io.flush_waiters) {
-        std::lock_guard<std::mutex> lk(t->mu);
-        if (t->remaining > 0) --t->remaining;
-        if (t->remaining == 0) t->cv.notify_all();
-      }
-      io.flush_waiters.clear();
-      return;
-    }
-    std::vector<std::shared_ptr<FlushTicket>> keep;
-    for (auto& t : io.flush_waiters) {
-      if (!push_flush_sentinels(io, t)) keep.push_back(std::move(t));
-    }
-    io.flush_waiters = std::move(keep);
-  }
-
-  void flush_due(Io& io, std::chrono::steady_clock::time_point now,
-                 bool force) {
-    if (force) {
-      // A flush() barrier overrides coalescing deadlines: attempt every
-      // queued write now so its outcome (sent or retired) is settled.
-      for (const auto& p : io.flush_list) {
-        p->flush_deadline = now;
-      }
-    }
-    if (io.flush_list.empty()) return;
+  /// Attempt every peer's writes queued this iteration: whatever one
+  /// iteration queued for a peer leaves as one gathered send.
+  void flush_queued() {
+    if (flush_list_.empty()) return;
     if (g_queue_bytes_ != nullptr) {
       std::int64_t total = 0;
-      for (const auto& p : io.flush_list) {
+      for (const auto& p : flush_list_) {
         if (!p->closed) total += static_cast<std::int64_t>(p->out_bytes);
       }
       g_queue_bytes_->set(total);
     }
     obs::SpanScope span(opts_.telemetry, obs::SpanKind::ReactorFlush,
-                        io.index);
-    // Compact in place: a fresh `keep` vector here would free and
-    // reallocate the list's buffer on every flush — a malloc/free pair per
-    // message on the happy path.  Nothing appends during the walk
-    // (flush_peer never calls enqueue_out), so two indices suffice.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < io.flush_list.size(); ++i) {
-      std::shared_ptr<Peer>& p = io.flush_list[i];
-      if (p->closed) {
-        p->in_flush = false;
-        continue;
-      }
-      if (p->flush_deadline <= now) {
-        p->in_flush = false;
-        flush_peer(io, p);
-      } else {
-        if (kept != i) io.flush_list[kept] = std::move(p);
-        ++kept;
-      }
+                        flush_list_.size());
+    // flush_peer never enqueues, so nothing appends during the walk.
+    for (const auto& p : flush_list_) {
+      p->in_flush = false;
+      flush_peer(p);
     }
-    io.flush_list.resize(kept);
+    flush_list_.clear();
   }
 
-  void io_loop(std::uint32_t index) {
-    Io& io = *ios_[index];
-    if (opts_.telemetry != nullptr) {
-      opts_.telemetry->set_thread_label("io-" + std::to_string(index));
+  void install_peer(const std::shared_ptr<Peer>& p) {
+    peers_[p->id] = p;
+    if (p->hook.fd >= 0) {
+      epoll_event ev{};
+      ev.events = EPOLLIN;  // level-triggered: pre-add data re-fires
+      ev.data.ptr = p.get();
+      if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, p->hook.fd, &ev) != 0) {
+        retire_peer(p);
+        return;
+      }
+      p->registered = true;
     }
-    IoCtx ioctx;
+    if (p->hook.needs_service) service_.push_back(p);
+    drain_peer(p);  // anything that arrived before the install
+  }
+
+  /// Periodic endpoint maintenance (fault holdback flushes), due every
+  /// kServiceInterval.
+  void service_endpoints(std::chrono::steady_clock::time_point& next) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now < next) return;
+    next = now + kServiceInterval;
+    std::vector<std::shared_ptr<Peer>> keep;
+    for (const auto& p : service_) {
+      if (p->closed) continue;
+      try {
+        p->ep->service();
+      } catch (const std::exception&) {
+        retire_peer(p);
+        continue;
+      }
+      drain_peer(p);
+      keep.push_back(p);
+    }
+    service_ = std::move(keep);
+  }
+
+  int compute_timeout(std::chrono::steady_clock::time_point next_service) {
+    if (stop_.load(std::memory_order_acquire) || !redrain_.empty() ||
+        !closed_backlog_.empty() || !flush_waiters_.empty()) {
+      return 0;
+    }
+    // Only take a clock reading when a service tick is pending: on a
+    // single core every instruction between the last reply and re-blocking
+    // delays the next request.
+    if (service_.empty()) return -1;
+    const auto now = std::chrono::steady_clock::now();
+    if (next_service <= now) return 0;
+    return static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(next_service -
+                                                              now)
+            .count() +
+        1);
+  }
+
+  /// Deliver one flush barrier's sentinels to every lane ring —
+  /// all-or-nothing, so a full ring just retries next iteration.
+  bool push_flush_sentinels(const std::shared_ptr<FlushTicket>& t) {
+    for (const auto& ln : lanes_) {
+      if (!ln->in.can_push()) return false;
+    }
+    for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
+      InItem item;
+      item.ticket = t;
+      lanes_[l]->in.push(std::move(item));
+      lane_dirty_ |= std::uint64_t{1} << l;
+    }
+    return true;
+  }
+
+  void service_flush_waiters() {
+    if (flush_waiters_.empty() || !closed_backlog_.empty() ||
+        !redrain_.empty()) {
+      return;
+    }
     if (inline_) {
-      ioctx.impl = this;
-      ioctx.io = &io;
-      tl_io = &ioctx;
+      // No lanes to chase: every event queued before this point already ran
+      // its handler on this thread, so the barrier settles right here.
+      for (auto& t : flush_waiters_) ack(*t);
+      flush_waiters_.clear();
+      return;
     }
+    std::erase_if(flush_waiters_, [this](const auto& t) {
+      return push_flush_sentinels(t);
+    });
+  }
+
+  void io_loop() {
+    if (opts_.telemetry != nullptr) {
+      opts_.telemetry->set_thread_label("io");
+    }
+    if (inline_) tl_inline = this;
     std::vector<std::shared_ptr<Peer>> local_ready;
     std::vector<Command> cmds;
-    auto next_service =
-        std::chrono::steady_clock::now() + opts_.service_interval;
+    auto next_service = std::chrono::steady_clock::now() + kServiceInterval;
     for (;;) {
-      const int timeout = compute_timeout(io, next_service);
+      const int timeout = compute_timeout(next_service);
       std::array<epoll_event, 64> events;
-      int ne = ::epoll_wait(io.epfd, events.data(),
+      int ne = ::epoll_wait(epfd_, events.data(),
                             static_cast<int>(events.size()), timeout);
       wakeups_.fetch_add(1, std::memory_order_relaxed);
-      io.retired.clear();  // previous batch's pointers are dead now
+      retired_.clear();  // previous batch's pointers are dead now
       if (ne < 0) ne = 0;  // EINTR
-      const auto now = std::chrono::steady_clock::now();
-      io.now = now;
       const bool stopping = stop_.load(std::memory_order_acquire);
       {
         obs::SpanScope span(ne > 0 ? opts_.telemetry : nullptr,
-                            obs::SpanKind::ReactorWake, index);
+                            obs::SpanKind::ReactorWake);
         for (int i = 0; i < ne; ++i) {
           if (events[i].data.ptr == nullptr) {
             continue;  // wake eventfd (edge-triggered, never read)
           }
           Peer* praw = static_cast<Peer*>(events[i].data.ptr);
-          auto it = io.peers.find(praw->id);
-          if (it == io.peers.end() || it->second.get() != praw) continue;
+          auto it = peers_.find(praw->id);
+          if (it == peers_.end() || it->second.get() != praw) continue;
           std::shared_ptr<Peer> p = it->second;
-          if ((events[i].events & EPOLLOUT) != 0) flush_peer(io, p);
+          if ((events[i].events & EPOLLOUT) != 0) flush_peer(p);
           if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-            drain_peer(io, p);
+            drain_peer(p);
           }
         }
         // Foreign commands (attach / detach / master sends).
         {
-          std::lock_guard<std::mutex> lk(io.inbox_mu);
-          cmds.swap(io.inbox);
+          std::lock_guard<std::mutex> lk(inbox_mu_);
+          cmds.swap(inbox_);
         }
         for (Command& c : cmds) {
           switch (c.kind) {
             case Command::Kind::Add:
-              install_peer(io, c.peer);
+              install_peer(c.peer);
               break;
             case Command::Kind::Remove:
               // Deliver what the endpoint already queued, then retire: the
               // blocking shells' drain-then-ChannelClosed semantics.
-              drain_peer(io, c.peer);
-              retire_peer(io, c.peer);
+              drain_peer(c.peer);
+              retire_peer(c.peer);
               break;
             case Command::Kind::Send:
-              enqueue_out(io, c.peer, std::move(c.m), now);
+              enqueue_out(c.peer, std::move(c.m));
               break;
             case Command::Kind::Flush:
               // Serviced at the end of the iteration, after the writes the
               // earlier commands queued have been attempted and any failure
               // retires pushed their closed markers.
-              io.flush_waiters.push_back(std::move(c.ticket));
+              flush_waiters_.push_back(std::move(c.ticket));
               break;
           }
         }
         cmds.clear();
         // Callback-funnel peers (in-process channels).
         {
-          std::lock_guard<std::mutex> lk(io.signal->mu);
-          local_ready.swap(io.signal->ready);
+          std::lock_guard<std::mutex> lk(signal_->mu);
+          local_ready.swap(signal_->ready);
         }
-        for (const auto& p : local_ready) drain_peer(io, p);
+        for (const auto& p : local_ready) drain_peer(p);
         local_ready.clear();
         // Completions from every lane.
-        for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-          auto& ring = *out_rings_[l][index];
+        for (const auto& ln : lanes_) {
           OutItem item;
-          while (ring.pop(item)) {
-            enqueue_out(io, item.peer, std::move(item.m), now);
+          while (ln->out.pop(item)) {
+            enqueue_out(item.peer, std::move(item.m));
             item.peer.reset();
           }
         }
         // Ring-full retries.
-        if (!io.redrain.empty()) {
+        if (!redrain_.empty()) {
           std::vector<std::shared_ptr<Peer>> list;
-          list.swap(io.redrain);
+          list.swap(redrain_);
           for (const auto& p : list) {
             p->in_redrain = false;
-            drain_peer(io, p);
+            drain_peer(p);
           }
         }
-        if (!io.closed_backlog.empty()) {
-          std::vector<std::shared_ptr<Peer>> list;
-          list.swap(io.closed_backlog);
-          for (const auto& p : list) {
-            if (inline_) {
-              // Top level of the loop — safe to run the handler directly.
-              dispatch_closed(p->id);
-            } else if (!push_in(io, p, Message{}, true)) {
-              io.closed_backlog.push_back(p);
-            }
-          }
-        }
-        // Periodic endpoint maintenance (fault holdback flushes).
-        if (!io.service.empty() && now >= next_service) {
-          next_service = now + opts_.service_interval;
-          std::vector<std::shared_ptr<Peer>> keep;
-          for (const auto& p : io.service) {
-            if (p->closed) continue;
-            try {
-              p->ep->service();
-            } catch (const std::exception&) {
-              retire_peer(io, p);
-              continue;
-            }
-            drain_peer(io, p);
-            keep.push_back(p);
-          }
-          io.service = std::move(keep);
-        }
-        flush_due(io, now, /*force=*/!io.flush_waiters.empty());
-        service_flush_waiters(io);
+        deliver_closed_backlog();
+        if (!service_.empty()) service_endpoints(next_service);
+        flush_queued();
+        service_flush_waiters();
       }
-      // Wake every lane that got ring pushes this iteration.
-      while (io.lane_dirty != 0) {
-        const int l = __builtin_ctzll(io.lane_dirty);
-        io.lane_dirty &= io.lane_dirty - 1;
-        wake_lane(*lanes_[static_cast<std::uint32_t>(l)]);
-      }
+      wake_dirty_lanes();
       if (stopping) break;
     }
     // Shutdown: retire every live peer (their queued inbound frames and
     // closed markers still flow to the lanes), then hand off and exit.
     std::vector<std::shared_ptr<Peer>> live;
-    live.reserve(io.peers.size());
-    for (auto& [id, p] : io.peers) live.push_back(p);
+    live.reserve(peers_.size());
+    for (auto& [id, p] : peers_) live.push_back(p);
     for (const auto& p : live) {
-      drain_peer(io, p);
-      retire_peer(io, p);
+      drain_peer(p);
+      retire_peer(p);
     }
     for (;;) {
-      while (io.lane_dirty != 0) {
-        const int l = __builtin_ctzll(io.lane_dirty);
-        io.lane_dirty &= io.lane_dirty - 1;
-        wake_lane(*lanes_[static_cast<std::uint32_t>(l)]);
-      }
-      if (io.closed_backlog.empty() && io.redrain.empty()) break;
+      wake_dirty_lanes();
+      if (closed_backlog_.empty() && redrain_.empty()) break;
       std::vector<std::shared_ptr<Peer>> list;
-      list.swap(io.redrain);
+      list.swap(redrain_);
       for (const auto& p : list) {
         p->in_redrain = false;
-        drain_peer(io, p);
-        retire_peer(io, p);
+        drain_peer(p);
+        retire_peer(p);
       }
-      list.clear();
-      list.swap(io.closed_backlog);
-      for (const auto& p : list) {
-        if (inline_) {
-          dispatch_closed(p->id);
-        } else if (!push_in(io, p, Message{}, true)) {
-          io.closed_backlog.push_back(p);
-        }
-      }
+      deliver_closed_backlog();
       std::this_thread::yield();
     }
-    io.retired.clear();
+    retired_.clear();
     // Release any barrier still parked here: its guarantee is moot once the
     // reactor is stopping, and the caller must not hang.
-    for (auto& t : io.flush_waiters) {
+    for (auto& t : flush_waiters_) {
       std::lock_guard<std::mutex> lk(t->mu);
       t->remaining = 0;
       t->cv.notify_all();
     }
-    io.flush_waiters.clear();
-    ios_running_.fetch_sub(1, std::memory_order_acq_rel);
+    flush_waiters_.clear();
+    io_running_.store(false, std::memory_order_release);
     for (auto& ln : lanes_) wake_lane(*ln);
-    tl_io = nullptr;
+    tl_inline = nullptr;
   }
 
   // -- lane internals ---------------------------------------------------------
@@ -985,44 +891,32 @@ struct Reactor::Impl {
     Lane& ln = *lanes_[lane];
     for (;;) {
       bool any = false;
-      for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-        auto& ring = *in_rings_[i][lane];
-        InItem item;
-        while (ring.pop(item)) {
-          any = true;
-          if (item.ticket) {  // flush sentinel: everything before it landed
-            std::lock_guard<std::mutex> lk(item.ticket->mu);
-            if (item.ticket->remaining > 0) --item.ticket->remaining;
-            if (item.ticket->remaining == 0) item.ticket->cv.notify_all();
-            item.ticket.reset();
-            continue;
-          }
-          const PeerId id = item.peer->id;
-          try {
-            if (item.closed) {
-              cache.erase(id);
-              handler_.on_peer_closed(id);
-            } else {
-              cache.emplace(id, item.peer);
-              handler_.on_message(id, std::move(item.m));
-            }
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "hdsm reactor: handler threw for peer "
-                                 "%llu: %s\n",
-                         static_cast<unsigned long long>(id), e.what());
-          }
-          item.peer.reset();
+      InItem item;
+      while (ln.in.pop(item)) {
+        any = true;
+        if (item.ticket) {  // flush sentinel: everything before it landed
+          ack(*item.ticket);
+          item.ticket.reset();
+          continue;
         }
+        const PeerId id = item.peer->id;
+        if (item.closed) {
+          cache.erase(id);
+          dispatch_closed(id);
+        } else {
+          cache.emplace(id, item.peer);
+          dispatch_message(id, std::move(item.m));
+        }
+        item.peer.reset();
       }
-      // Batched io wakes for the completions this sweep produced.
-      while (ctx.pending_io_wakes != 0) {
-        const int i = __builtin_ctzll(ctx.pending_io_wakes);
-        ctx.pending_io_wakes &= ctx.pending_io_wakes - 1;
-        ios_[static_cast<std::uint32_t>(i)]->signal->wake();
+      // One io wake for every completion this sweep produced.
+      if (ctx.wake_io) {
+        ctx.wake_io = false;
+        signal_->wake();
       }
       if (any) continue;
       if (stop_.load(std::memory_order_acquire) &&
-          ios_running_.load(std::memory_order_acquire) == 0) {
+          !io_running_.load(std::memory_order_acquire)) {
         break;
       }
       std::unique_lock<std::mutex> lk(ln.mu);
@@ -1037,7 +931,7 @@ struct Reactor::Impl {
 };
 
 thread_local Reactor::Impl::LaneCtx* Reactor::Impl::tl_lane = nullptr;
-thread_local Reactor::Impl::IoCtx* Reactor::Impl::tl_io = nullptr;
+thread_local Reactor::Impl* Reactor::Impl::tl_inline = nullptr;
 
 Reactor::Reactor(const ReactorOptions& opts, ReactorHandler& handler)
     : impl_(std::make_unique<Impl>(opts, handler)) {}

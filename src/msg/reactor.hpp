@@ -1,29 +1,25 @@
 // msg::Reactor — the event-driven transport shell (docs/TRANSPORT.md).
 //
-// One small fixed pool of io threads multiplexes every remote connection:
-// fd-backed endpoints (TCP) sit in an epoll set, queue-backed endpoints
-// (in-process channels) signal readiness through a callback that funnels
-// into the io thread's one wake eventfd — so a thousand simulated remotes
-// cost one descriptor, not a thousand.  Each EPOLLIN wakeup drains *every*
-// decodable frame from the endpoint (frame batching) into a lock-free SPSC
-// ring toward the peer's worker lane; the lane invokes the handler (the
-// DSM shell's protocol step) and its replies flow back over a second SPSC
-// ring to the io thread, which merges consecutive messages to the same
-// peer into one gathered send (write coalescing, bounded by
-// `flush_delay`).
+// One io thread multiplexes every remote connection: fd-backed endpoints
+// (TCP) sit in an epoll set, queue-backed endpoints (in-process channels)
+// signal readiness through a callback that funnels into the io thread's one
+// wake eventfd — so a thousand simulated remotes cost one descriptor, not a
+// thousand.  Each wakeup drains *every* decodable frame from a ready
+// endpoint (frame batching), and the messages queued for one peer during one
+// loop iteration leave in one gathered send (write coalescing).
 //
-// Ring discipline: every ring has exactly one producer thread and one
-// consumer thread by construction — rings are allocated per (io thread,
-// lane) pair, one per direction.  A full inbound ring never drops or
-// blocks: the io thread parks the peer on a redrain list and retries after
-// the lane catches up.
-//
-// Inline mode: with io_threads == 1 and lanes == 1 (the defaults) there is
-// no pipeline to overlap, so the io thread invokes the handler directly —
-// no rings, no lane thread, two fewer context switches per round trip.
-// Delivery guarantees are identical; closed events are still deferred to
-// the top of the io loop so an eviction triggered by a handler-issued send
-// never re-enters the handler.
+// Two layouts, picked by the lane count (the home derives it from its shard
+// count):
+//   - Inline (lanes == 1): the io thread invokes the handler itself — no
+//     rings, no lane thread, two fewer context switches per round trip.
+//     Closed events are deferred to the top of the io loop so an eviction
+//     triggered by a handler-issued send never re-enters the handler.
+//   - Lanes (lanes > 1): each worker lane is fed decoded frames over a
+//     lock-free SPSC ring and returns its replies over a second one, so
+//     every ring has exactly one producer and one consumer thread.  A full
+//     inbound ring never drops or blocks: the io thread parks the peer on a
+//     redrain list and retries after the lane catches up.
+// Delivery guarantees are identical in both.
 //
 // Backpressure: per-peer outbound queues are bounded by
 // `max_write_queue_bytes`; a peer that stops draining (dead TCP window)
@@ -40,7 +36,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,34 +53,29 @@ namespace hdsm::msg {
 using PeerId = std::uint64_t;
 
 struct ReactorOptions {
-  /// Io threads sharing the epoll/wake work.  One is right for loopback
-  /// and simulated clusters; the pool stays small by design.
-  std::uint32_t io_threads = 1;
-  /// Worker lanes executing the handler.  A peer's lane is fixed at
-  /// add_peer, so per-lane handler calls are serialized.
+  /// Worker lanes executing the handler (clamped to 1..64); 1 = inline
+  /// mode.  A peer's lane is fixed at add_peer, so per-lane handler calls
+  /// are serialized.
   std::uint32_t lanes = 1;
-  /// Capacity of each inbound/completion ring (rounded up to a power of
-  /// two).  Full rings redrain, they never drop.
+  /// Capacity of each lane's inbound/completion ring (rounded up to a
+  /// power of two).  Full rings redrain, they never drop.  Settable so
+  /// `Reactor.TinyRingsRedrainWithoutDropping` can shrink it and reach the
+  /// redrain path; the home keeps the default.
   std::size_t ring_capacity = 1024;
   /// Bound on a peer's queued outbound bytes before it is evicted
-  /// (closed) as a slow consumer.
+  /// (closed) as a slow consumer.  Settable so
+  /// `Reactor.SlowTcpConsumerEvictedWhileHealthyPeerProgresses` can reach
+  /// eviction without queueing 64 MiB; the home keeps the default.
   std::size_t max_write_queue_bytes = std::size_t{64} << 20;
-  /// Write-coalescing window: queued messages to a peer may sit this long
-  /// waiting for more before the flush.  0 = flush on every enqueue batch
-  /// (latency-first; batching still happens whenever a lane emits several
-  /// messages to one peer in one burst).
-  std::chrono::microseconds flush_delay{0};
-  /// Cadence of Endpoint::service() for hooks that request it.
-  std::chrono::milliseconds service_interval{5};
   /// Optional telemetry: reactor spans + counters (docs/OBSERVABILITY.md).
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// Handler invoked on worker lanes.  Calls for one peer are serialized and
-/// in order; calls for peers on different lanes run concurrently.  The
-/// handler may call Reactor::send from inside a callback (the common case:
-/// protocol replies), from which it returns immediately — transmission is
-/// asynchronous.
+/// Handler invoked on worker lanes (on the io thread in inline mode).
+/// Calls for one peer are serialized and in order; calls for peers on
+/// different lanes run concurrently.  The handler may call Reactor::send
+/// from inside a callback (the common case: protocol replies), from which
+/// it returns immediately — transmission is asynchronous.
 class ReactorHandler {
  public:
   virtual ~ReactorHandler() = default;
@@ -131,14 +121,14 @@ class Reactor {
   void send(PeerId id, Message m);
 
   /// Settlement barrier: blocks until every add/remove/send posted before
-  /// this call has executed, queued writes were attempted (coalescing
-  /// deadlines overridden), and all resulting handler callbacks — messages
-  /// and closed events — have returned.  Events produced by handlers that
-  /// run concurrently with the flush are not covered.  Must not be called
-  /// from inside a handler; returns early if the reactor is stopping.
+  /// this call has executed, queued writes were attempted, and all
+  /// resulting handler callbacks — messages and closed events — have
+  /// returned.  Events produced by handlers that run concurrently with the
+  /// flush are not covered.  Must not be called from inside a handler;
+  /// returns early if the reactor is stopping.
   void flush();
 
-  /// Stop all io threads and lanes (idempotent).  In-flight inbound
+  /// Stop the io thread and lanes (idempotent).  In-flight inbound
   /// messages and closed events are still delivered to the handler before
   /// the lanes exit; endpoints are closed.
   void stop();

@@ -1,7 +1,7 @@
 // Lock-free single-producer/single-consumer ring buffer.
 //
-// The reactor's hot handoff (docs/TRANSPORT.md): each (io-thread, worker
-// lane) pair communicates over exactly two of these rings — one carrying
+// The reactor's hot handoff (docs/TRANSPORT.md): the io thread and each
+// worker lane communicate over exactly two of these rings — one carrying
 // decoded frames in, one carrying completions back — so every ring has one
 // writer thread and one reader thread by construction and no operation ever
 // takes a lock or issues a read-modify-write.

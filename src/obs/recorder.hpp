@@ -44,7 +44,7 @@ enum class SpanKind : std::uint8_t {
   Reconnect,     ///< instant: transport re-established (id = count)
   Scrape,        ///< MetricsPull round trip / aggregation
   ReactorWake,   ///< one reactor io-thread wakeup's event processing
-  ReactorFlush,  ///< one coalesced outbound flush sweep (id = io index)
+  ReactorFlush,  ///< one coalesced outbound flush sweep (id = peers)
   ReplAppend,    ///< one log append round trip to the standby (id = shard)
   Failover,      ///< standby promotion: fence + master reset + start
   CodecEncode,   ///< codec encode inside a pack episode (id = blocks)
@@ -122,7 +122,7 @@ class SpanRing {
 /// One thread's lane in a recorder snapshot.
 struct LaneSnapshot {
   std::uint32_t lane = 0;  ///< stable small integer (Chrome trace tid)
-  std::string label;       ///< e.g. "master", "recv-rank1", "pool-2"
+  std::string label;       ///< e.g. "master", "io", "lane-1", "pool-2"
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
   std::vector<SpanRecord> spans;  ///< oldest first
