@@ -1,22 +1,22 @@
 // A/B bench for the adaptive policy engine (SyncOptions::adaptive), emitted
 // as BENCH_adaptive.json: each paper workload runs end-to-end on a cluster
-// under three data-plane configurations drawn from the tuner's own decision
-// space —
+// under a swept grid of static data-plane configurations and under the
+// tuner, timed by wall clock (UseRealTime — the cluster's work runs on
+// other threads, so the benchmark thread's CPU time would undercount it).
 //
-//   /0 static_worst  - lanes=4 with a 4 KB grain (pool dispatch on every
-//                      small batch) and byte-exact diffs: a plausible but
-//                      mis-tuned static choice for these workloads
-//   /1 static_best   - the sequential path with stock grain/slack: the
-//                      right static call for small-payload cluster runs
-//   /2 adaptive      - stock defaults with the tuner on: it must stay in
-//                      the neighborhood of the best static (probing is not
-//                      free) and claw further wins where its decisions
-//                      (identity fast path, coalescing, promotion) apply
+//   /0../7  static     - merge_slack in {0, 8, 32, 64} x conv_threads in
+//                        {1, auto}, no tuner; "best static" is the fastest
+//                        of these eight rows per workload and pair
+//   /8      adaptive   - the tuner and the adaptive codec with default
+//                        TunerConfig: exactly hdsm-bench's paper_sl set-up
+//   /9      adaptive, codec pinned off - isolates what the codec knob
+//                        costs or buys on top of the other two knobs
 //
-// The acceptance bar (ISSUE 4): adaptive within 5% of best static on every
-// workload, and >= 15% faster than worst static on at least one.  Pairs LL
-// (homogeneous, identity fast path reachable) and SL (heterogeneous,
-// conversion on the critical path) both run.
+// Each row's label names its configuration.  The bar (ROADMAP item 5):
+// adaptive within 3 % of the best swept static on every workload and pair.
+// Pairs LL (homogeneous, identity fast path reachable) and SL
+// (heterogeneous, conversion on the critical path) both run, at the
+// paper's n = 255.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
 #include <benchmark/benchmark.h>
@@ -39,34 +39,29 @@ bool fast_mode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-constexpr std::int64_t kWorst = 0;
-constexpr std::int64_t kBest = 1;
-constexpr std::int64_t kAdaptive = 2;
+constexpr std::size_t kSlacks[] = {0, 8, 32, 64};
+constexpr std::int64_t kStatics = 8;  ///< configs 0..7: the static sweep
+constexpr std::int64_t kAdaptive = 8;
+constexpr std::int64_t kAdaptiveNoCodec = 9;
 
 dsm::ShardedHomeOptions config(std::int64_t kind) {
   dsm::ShardedHomeOptions opts;
-  switch (kind) {
-    case kWorst:
-      // Mis-tuned for small cluster payloads: the pool engages on nearly
-      // every batch and pays its dispatch cost without the bytes to
-      // amortize it.
-      opts.dsd.conv_threads = 4;
-      opts.dsd.parallel_grain = 4096;
-      opts.dsd.merge_slack = 0;
-      break;
-    case kBest:
-      opts.dsd.conv_threads = 1;
-      break;
-    case kAdaptive:
-    default:
-      // Stock defaults with the tuner on: warmup shortened so the short
-      // matmul run adapts at all, hysteresis (dwell/margin) left at the
-      // defaults so it doesn't flap.
-      opts.dsd.adaptive = true;
-      opts.dsd.tuner.warmup = 2;
-      break;
+  if (kind < kStatics) {
+    opts.dsd.merge_slack = kSlacks[kind / 2];
+    opts.dsd.conv_threads = kind % 2 == 0 ? 1 : 0;  // 0 = auto lanes
+    return opts;
   }
+  opts.dsd.adaptive = true;
+  opts.dsd.codec = dsm::CodecMode::Adaptive;
+  if (kind == kAdaptiveNoCodec) opts.dsd.tuner.pin_codec = 0;
   return opts;
+}
+
+std::string label(std::int64_t kind) {
+  if (kind == kAdaptive) return "adaptive";
+  if (kind == kAdaptiveNoCodec) return "adaptive codec=off";
+  return "static slack=" + std::to_string(kSlacks[kind / 2]) +
+         (kind % 2 == 0 ? " lanes=1" : " lanes=auto");
 }
 
 const work::PairSpec& pair_of(std::int64_t p) {
@@ -75,17 +70,32 @@ const work::PairSpec& pair_of(std::int64_t p) {
 }
 
 void annotate(benchmark::State& state, const dsm::ShareStats& total) {
-  state.counters["adapt_episodes"] = static_cast<double>(total.adapt_episodes);
-  state.counters["adapt_switches"] = static_cast<double>(total.adapt_switches);
-  state.counters["page_promotions"] =
-      static_cast<double>(total.whole_page_promotions);
+  const double iters = static_cast<double>(state.iterations());
+  state.SetLabel(label(state.range(1)));
+  state.counters["adapt_episodes"] =
+      static_cast<double>(total.adapt_episodes) / iters;
+  state.counters["adapt_switches"] =
+      static_cast<double>(total.adapt_switches) / iters;
   state.counters["fastpath_blocks"] =
-      static_cast<double>(total.fastpath_blocks);
+      static_cast<double>(total.fastpath_blocks) / iters;
+  state.counters["update_blocks"] =
+      static_cast<double>(total.updates_sent) / iters;
+  state.counters["t_tag_ms"] = static_cast<double>(total.tag_ns) / 1e6 / iters;
+}
+
+void sweep(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"pair", "config"});
+  for (std::int64_t pair = 0; pair < 2; ++pair) {
+    for (std::int64_t kind = 0; kind <= kAdaptiveNoCodec; ++kind) {
+      b->Args({pair, kind});
+    }
+  }
+  b->UseRealTime()->Unit(benchmark::kMillisecond);
 }
 
 void BM_AdaptiveMatmul(benchmark::State& state) {
   const work::PairSpec& pair = pair_of(state.range(0));
-  const std::uint32_t n = fast_mode() ? 33 : 96;
+  const std::uint32_t n = fast_mode() ? 33 : 255;
   dsm::ShareStats total;
   for (auto _ : state) {
     dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
@@ -96,22 +106,14 @@ void BM_AdaptiveMatmul(benchmark::State& state) {
   }
   annotate(state, total);
 }
-BENCHMARK(BM_AdaptiveMatmul)
-    ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
-    ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
-    ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdaptiveMatmul)->Apply(sweep);
 
 void BM_AdaptiveLu(benchmark::State& state) {
   // One barrier per elimination step: the episode stream is long, the
   // per-step payloads shrink as elimination proceeds — exactly the drift a
   // static configuration cannot follow.
   const work::PairSpec& pair = pair_of(state.range(0));
-  const std::uint32_t n = fast_mode() ? 40 : 96;
+  const std::uint32_t n = fast_mode() ? 40 : 255;
   dsm::ShareStats total;
   for (auto _ : state) {
     dsm::Cluster cluster(work::lu_gthv(n), *pair.home,
@@ -122,22 +124,14 @@ void BM_AdaptiveLu(benchmark::State& state) {
   }
   annotate(state, total);
 }
-BENCHMARK(BM_AdaptiveLu)
-    ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
-    ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
-    ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdaptiveLu)->Apply(sweep);
 
 void BM_AdaptiveSor(benchmark::State& state) {
   // Two barriers per iteration, interleaved red/black dirty runs: the
   // workload where run coalescing and the per-episode costs of scattered
   // small updates dominate.
   const work::PairSpec& pair = pair_of(state.range(0));
-  const std::uint32_t n = fast_mode() ? 32 : 96;
+  const std::uint32_t n = fast_mode() ? 32 : 255;
   const std::uint32_t iters = fast_mode() ? 4 : 8;
   dsm::ShareStats total;
   for (auto _ : state) {
@@ -149,15 +143,7 @@ void BM_AdaptiveSor(benchmark::State& state) {
   }
   annotate(state, total);
 }
-BENCHMARK(BM_AdaptiveSor)
-    ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
-    ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
-    ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdaptiveSor)->Apply(sweep);
 
 }  // namespace
 

@@ -56,7 +56,6 @@ std::string ShareStats::to_string() const {
   if (adapt_episodes != 0) {
     os << " adapt_episodes=" << adapt_episodes
        << " adapt_switches=" << adapt_switches
-       << " page_promotions=" << whole_page_promotions
        << " fastpath_blocks=" << fastpath_blocks;
   }
   if (wrong_shard_redirects != 0 || pending_pulls != 0 ||

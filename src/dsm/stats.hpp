@@ -108,8 +108,9 @@ struct ShareStats {
   // -- Adaptive policy engine (SyncOptions::adaptive, docs/ADAPTIVITY.md) --
   std::uint64_t adapt_episodes = 0;  ///< count: tuner steps (probe samples)
   std::uint64_t adapt_switches = 0;  ///< count: knob changes the tuner made
-  std::uint64_t whole_page_promotions = 0;  ///< count: pages shipped whole on
-                                            ///  the barrier-release path
+  std::uint64_t whole_page_promotions = 0;  ///< count: always 0 — whole-page
+                                            ///  promotion was removed; kept
+                                            ///  because hdsm-bench reads it
   std::uint64_t fastpath_blocks = 0;  ///< count: blocks applied through the
                                       ///  identity/memcpy fast path
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -111,43 +110,25 @@ SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
     : space_(space), opts_(opts), stats_(stats) {
   if (opts_.adaptive || opts_.codec == CodecMode::Adaptive) {
     adapt::TunerConfig cfg = opts_.tuner;
-    cfg.page_size = mem::Region::host_page_size();
-    // Lanes the machine can actually run: exploring 4-way conversion on a
-    // single hardware thread would pay the pool's dispatch cost with no
-    // possible speedup, so the tuner's search space is clamped up front.
-    cfg.max_lanes = std::min(
-        cfg.max_lanes, std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
     // The tuner starts from the configured static behavior and moves the
-    // knobs from there; its decisions then overwrite the live options.
-    cfg.initial.conv_threads = effective_lanes();
-    cfg.initial.parallel_grain = opts_.parallel_grain;
+    // knobs from there; its slack decision then overwrites the live option.
     cfg.initial.merge_slack = std::min(opts_.merge_slack, cfg.max_merge_slack);
     cfg.enable_codec = opts_.codec == CodecMode::Adaptive;
     if (!opts_.adaptive) {
       // Codec-only tuner (codec == Adaptive with `adaptive` off): pin every
       // non-codec knob to the static options so only compress can move.
-      cfg.pin_whole_page_threshold = cfg.initial.whole_page_threshold;
       cfg.pin_identity_fastpath = cfg.initial.identity_fastpath ? 1 : 0;
-      cfg.pin_conv_threads = static_cast<int>(cfg.initial.conv_threads);
-      cfg.pin_parallel_grain = static_cast<long>(cfg.initial.parallel_grain);
       cfg.pin_merge_slack = static_cast<long>(cfg.initial.merge_slack);
     }
     tuner_ = std::make_unique<adapt::Tuner>(cfg);
-    apply_decision(tuner_->decision());  // pins may differ from the statics
+    opts_.merge_slack = tuner_->decision().merge_slack;  // pins may differ
   }
 }
 
 SyncEngine::~SyncEngine() = default;
 
-void SyncEngine::apply_decision(const adapt::Decision& d) {
-  opts_.conv_threads = std::max(1u, d.conv_threads);
-  opts_.parallel_grain = d.parallel_grain;
-  opts_.merge_slack = d.merge_slack;
-}
-
-void SyncEngine::sample_episode(adapt::Signal& s) {
+void SyncEngine::sample_episode(const adapt::Signal& s) {
   if (tuner_ == nullptr) return;
-  s.page_size = mem::Region::host_page_size();
   const adapt::Decision& d = tuner_->step(s);
   ++stats_.adapt_episodes;
   const auto episode = static_cast<std::uint32_t>(tuner_->episodes());
@@ -159,15 +140,12 @@ void SyncEngine::sample_episode(adapt::Signal& s) {
   if (trace_ != nullptr) {
     // One event per affected subsystem, each in the same episode as (and
     // after) the ProbeSampled above — validator invariant 5.
-    if (d.changed & (adapt::Decision::kThreshold | adapt::Decision::kFastpath |
-                     adapt::Decision::kCodec))
+    if (d.changed & (adapt::Decision::kFastpath | adapt::Decision::kCodec))
       trace_->append(TraceEvent::Kind::StrategySwitched, trace_rank_, episode);
-    if (d.changed & (adapt::Decision::kLanes | adapt::Decision::kGrain))
-      trace_->append(TraceEvent::Kind::LanesRetuned, trace_rank_, episode);
     if (d.changed & adapt::Decision::kSlack)
       trace_->append(TraceEvent::Kind::RunsCoalesced, trace_rank_, episode);
   }
-  apply_decision(d);
+  opts_.merge_slack = d.merge_slack;
 }
 
 SyncEngine::SenderPlanCache& SyncEngine::cache_for(
@@ -259,18 +237,13 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   region.rearm();
   const std::uint64_t diff_ns = watch.lap();
   stats_.index_ns += diff_ns;
-  // One measurement, three consumers: the Eq.-1 bucket above, the obs span
-  // here, and the tuner signal below all see the same diff_ns.
+  // One measurement, two consumers: the Eq.-1 bucket above and the obs
+  // span here see the same diff_ns.
   obs_phase(obs::SpanKind::Diff, diff_ns, dirty.size());
 
-  if (tuner_ != nullptr) {
-    adapt::Signal s;
-    s.diff_ns = diff_ns;
-    s.dirty_pages = dirty.size();
-    for (const mem::ByteRange& r : ranges) s.diffed_bytes += r.end - r.begin;
-    s.runs = runs.size();
-    sample_episode(s);
-  }
+  // A collect episode carries no sample any cost model reads, but it still
+  // steps the tuner: warmup, dwell and ProbeSampled numbering count it.
+  sample_episode(adapt::Signal{});
   return runs;
 }
 
@@ -382,7 +355,6 @@ std::vector<std::byte> SyncEngine::pack_payload(
     s.pack_ns = pack_ns;
     s.runs = runs.size();
     s.bytes_packed = out.size();
-    s.objects = episode_objects;
     s.encode_ns = encode_ns;
     s.bytes_raw = bytes_raw;
     s.bytes_coded = bytes_coded;
@@ -567,9 +539,9 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
 
 // -- Receive side: phase 2 (execute) -----------------------------------------
 
-unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
-                                   const msg::PlatformSummary& sender) {
-  if (plans.empty()) return 1;
+void SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
+                               const msg::PlatformSummary& sender) {
+  if (plans.empty()) return;
   const plat::PlatformDesc sender_platform = wire_platform(sender);
   const plat::PlatformDesc& my_platform = space_.platform();
   mem::TrackedRegion& region = space_.region();
@@ -617,7 +589,7 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   if (!parallel) {
     std::vector<std::byte> scratch;
     for (const BlockPlan& p : plans) apply_one(p, scratch);
-    return 1;
+    return;
   }
 
   // Partition plans into byte-balanced contiguous chunks, one task per
@@ -640,7 +612,7 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   if (chunks.size() < 2) {
     std::vector<std::byte> scratch;
     for (const BlockPlan& p : plans) apply_one(p, scratch);
-    return 1;
+    return;
   }
 
   pool()->run(chunks.size(), [&](std::size_t c) {
@@ -651,32 +623,6 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   });
   ++stats_.parallel_batches;
   stats_.conv_threads += chunks.size();
-  return static_cast<unsigned>(chunks.size());
-}
-
-void SyncEngine::sample_apply(const std::vector<BlockPlan>& plans,
-                              unsigned lanes_used, std::uint64_t unpack_ns,
-                              std::uint64_t conv_ns,
-                              std::uint64_t hits_before,
-                              std::uint64_t misses_before) {
-  if (tuner_ == nullptr || plans.empty()) return;
-  adapt::Signal s;
-  s.unpack_ns = unpack_ns;
-  s.conv_ns = conv_ns;
-  s.blocks = plans.size();
-  bool identity = true;
-  for (const BlockPlan& p : plans) {
-    s.bytes_applied += p.dst_len;
-    if (p.route != conv::Route::Memcpy || p.src_elem != p.dst_elem) {
-      identity = false;
-    }
-  }
-  s.plan_hits = stats_.plan_cache_hits - hits_before;
-  s.plan_misses = stats_.plan_cache_misses - misses_before;
-  s.identity_sender = identity;
-  s.parallel = lanes_used > 1;
-  s.lanes_used = lanes_used;
-  sample_episode(s);
 }
 
 std::vector<idx::UpdateRun> SyncEngine::apply_payload(
@@ -685,8 +631,6 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
   // t_unpack: decode the payload, parse tags (plan cache), validate all
   // (compressed blocks decompress into `validated.scratch` here).
   StopWatch watch;
-  const std::uint64_t hits0 = stats_.plan_cache_hits;
-  const std::uint64_t misses0 = stats_.plan_cache_misses;
   const ValidatedPayload validated = validate_payload(payload, sender);
   const std::vector<BlockPlan>& plans = validated.plans;
   const std::uint64_t unpack_ns = watch.lap();
@@ -694,7 +638,7 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
   obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
 
   // t_conv: convert (or memcpy) each planned block into this node's image.
-  const unsigned lanes_used = execute_plans(plans, sender);
+  execute_plans(plans, sender);
   const std::uint64_t conv_ns = watch.lap();
   stats_.conv_ns += conv_ns;
   obs_phase(obs::SpanKind::Convert, conv_ns, plans.size());
@@ -706,7 +650,15 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
     ++stats_.updates_received;
     applied.push_back(p.run);
   }
-  sample_apply(plans, lanes_used, unpack_ns, conv_ns, hits0, misses0);
+  if (tuner_ != nullptr && !plans.empty()) {
+    adapt::Signal s;
+    s.blocks = plans.size();
+    s.identity_sender =
+        std::all_of(plans.begin(), plans.end(), [](const BlockPlan& p) {
+          return p.route == conv::Route::Memcpy && p.src_elem == p.dst_elem;
+        });
+    sample_episode(s);
+  }
   return applied;
 }
 
@@ -723,69 +675,6 @@ std::vector<idx::UpdateRun> SyncEngine::full_image_runs(
     runs.push_back(run);
   }
   return runs;
-}
-
-std::vector<idx::UpdateRun> SyncEngine::promote_dense_runs(
-    const std::vector<idx::UpdateRun>& runs) {
-  if (tuner_ == nullptr || runs.empty()) return runs;
-  const double threshold = tuner_->decision().whole_page_threshold;
-  if (threshold >= 1.0) return runs;
-
-  const idx::IndexTable& table = space_.table();
-  const std::size_t ps = mem::Region::host_page_size();
-  const std::uint64_t image_size = table.image_size();
-
-  // Runs -> sorted disjoint byte ranges.
-  std::vector<mem::ByteRange> ranges;
-  ranges.reserve(runs.size());
-  for (const idx::UpdateRun& run : runs) {
-    const std::uint64_t off = idx::run_offset(table, run);
-    const std::uint64_t len = idx::run_byte_length(table, run);
-    if (len == 0) continue;
-    ranges.push_back({static_cast<std::size_t>(off),
-                      static_cast<std::size_t>(off + len)});
-  }
-  if (ranges.empty()) return runs;
-  std::sort(ranges.begin(), ranges.end(),
-            [](const mem::ByteRange& a, const mem::ByteRange& b) {
-              return a.begin < b.begin;
-            });
-  mem::coalesce_ranges(ranges, 0);
-
-  // Dirty-byte coverage per page.
-  std::map<std::size_t, std::size_t> covered;
-  for (const mem::ByteRange& r : ranges) {
-    for (std::size_t page = r.begin / ps; page * ps < r.end; ++page) {
-      const std::size_t lo = std::max(r.begin, page * ps);
-      const std::size_t hi = std::min(r.end, (page + 1) * ps);
-      covered[page] += hi - lo;
-    }
-  }
-
-  // Pages dense enough get their whole span shipped; the home image is
-  // authoritative here, so the extra (unchanged-at-home) bytes are the
-  // merged truth, not stale data.
-  bool any = false;
-  for (const auto& [page, bytes] : covered) {
-    const std::size_t base = page * ps;
-    const std::size_t span =
-        std::min(ps, static_cast<std::size_t>(image_size) - base);
-    if (bytes >= span) continue;  // already fully covered
-    if (static_cast<double>(bytes) >=
-        threshold * static_cast<double>(span)) {
-      ranges.push_back({base, base + span});
-      ++stats_.whole_page_promotions;
-      any = true;
-    }
-  }
-  if (!any) return runs;
-
-  std::sort(ranges.begin(), ranges.end(),
-            [](const mem::ByteRange& a, const mem::ByteRange& b) {
-              return a.begin < b.begin;
-            });
-  mem::coalesce_ranges(ranges, 0);
-  return idx::map_ranges_to_runs(table, ranges, opts_.coalesce_runs);
 }
 
 void merge_runs(std::vector<idx::UpdateRun>& into,

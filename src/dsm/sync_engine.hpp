@@ -39,8 +39,8 @@ namespace hdsm::dsm {
 enum class CodecMode {
   Off,       ///< never encode — byte-identical to the pre-codec wire
   Forced,    ///< encode every eligible run (A/B benches, fault suites)
-  Adaptive,  ///< sixth tuner knob: engage per link when the EWMA cost
-             ///  model says encode + compressed wire beats raw wire
+  Adaptive,  ///< the tuner's compress knob: engage per link when the
+             ///  EWMA cost model says encode + compressed wire beats raw
 };
 
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
@@ -78,15 +78,15 @@ struct SyncOptions {
 
   // -- Adaptive policy engine (docs/ADAPTIVITY.md) --
 
-  /// Drive conv_threads / parallel_grain / merge_slack plus whole-page
-  /// promotion and the identity fast path from an online adapt::Tuner
-  /// instead of the static values above.  Off = today's exact behavior
-  /// (no tuner is constructed, no probe runs, no trace events).
+  /// Drive merge_slack and the identity fast path from an online
+  /// adapt::Tuner instead of the static values above.  conv_threads and
+  /// parallel_grain stay static either way.  Off = no tuner is constructed
+  /// (unless `codec` is Adaptive), no probe runs, no trace events.
   bool adaptive = false;
   /// Tuner configuration when `adaptive` is on: EWMA smoothing, hysteresis
-  /// (dwell + margin), bounds, and per-knob pins for A/B isolation.  The
-  /// tuner's starting point for conv_threads / parallel_grain / merge_slack
-  /// is seeded from the static fields above.
+  /// (dwell + margin), the slack cap, and per-knob pins for A/B isolation.
+  /// The tuner's starting merge_slack is seeded from the static field
+  /// above.
   adapt::TunerConfig tuner;
 
   // -- Predictive update codec (hdsm::codec, docs/COMPRESSION.md) --
@@ -103,8 +103,7 @@ using DsdOptions = SyncOptions;
 
 /// Update runs produced by the object-granularity path (docs/OBJECTS.md):
 /// the element runs covering exactly the dirty objects, plus how many
-/// objects those runs cover — the per-episode object count the adaptive
-/// tuner folds into its cost models (adapt::Signal::objects).
+/// objects those runs cover (the per-node object counters in ShareStats).
 struct ObjectRuns {
   std::vector<idx::UpdateRun> runs;
   std::uint64_t objects = 0;
@@ -153,15 +152,6 @@ class SyncEngine {
   static std::vector<idx::UpdateRun> full_image_runs(
       const idx::IndexTable& table);
 
-  /// Diff-vs-whole-page promotion (adaptive decision 1): expand runs on
-  /// pages whose dirty density meets the tuner's threshold to cover the
-  /// page completely.  Only safe where this node's image is authoritative
-  /// for the whole page — the barrier-release path at the home node after
-  /// all updates merged (see docs/ADAPTIVITY.md) — which is the only call
-  /// site.  Identity when the tuner is off or the threshold is 1.0.
-  std::vector<idx::UpdateRun> promote_dense_runs(
-      const std::vector<idx::UpdateRun>& runs);
-
   /// Emit adaptive decision events (ProbeSampled, StrategySwitched, ...)
   /// into `log` as this `rank`.  Null detaches.
   void set_trace(TraceLog* log, std::uint32_t rank) noexcept {
@@ -170,25 +160,26 @@ class SyncEngine {
   }
 
   /// Attach telemetry (docs/OBSERVABILITY.md): every Eq.-1 phase the
-  /// engine times — the same measurement that feeds ShareStats and the
-  /// adaptive tuner's Signal — is also recorded as an obs span and phase
-  /// histogram.  Null (the default) detaches; the off path is one null
-  /// check per phase.  Call before the first collect/apply: the worker
-  /// pool captures the pointer when it spawns.
+  /// engine times — the same measurement that feeds ShareStats (and, for
+  /// pack, the adaptive tuner's Signal) — is also recorded as an obs span
+  /// and phase histogram.  Null (the default) detaches; the off path is one
+  /// null check per phase.  Call before the first collect/apply: the
+  /// worker pool captures the pointer when it spawns.
   void set_obs(obs::Telemetry* telemetry) noexcept { obs_ = telemetry; }
   obs::Telemetry* obs() const noexcept { return obs_; }
 
   const SyncOptions& options() const noexcept { return opts_; }
   GlobalSpace& space() noexcept { return space_; }
 
-  /// The live tuner (null unless SyncOptions::adaptive).
+  /// The live tuner (null unless SyncOptions::adaptive or codec ==
+  /// CodecMode::Adaptive).
   const adapt::Tuner* tuner() const noexcept { return tuner_.get(); }
 
   /// Object-granularity episodes (docs/OBJECTS.md): the shell stages the
-  /// number of dirty objects the next pack_payload call ships; the pack
-  /// episode's adapt::Signal carries it as `objects` and the per-node
-  /// ShareStats object counters advance.  Consumed (reset to zero) by that
-  /// pack; a no-op for the page-mode path, which never stages.
+  /// number of dirty objects the next pack_payload call ships, and the
+  /// per-node ShareStats object counters advance by it.  Consumed (reset
+  /// to zero) by that pack; a no-op for the page-mode path, which never
+  /// stages.
   void stage_episode_objects(std::uint64_t objects) noexcept {
     staged_objects_ = objects;
   }
@@ -230,18 +221,11 @@ class SyncEngine {
   ValidatedPayload validate_payload(const std::vector<std::byte>& payload,
                                     const msg::PlatformSummary& sender);
   /// Phase 2: execute validated plans (sequential or on the pool).
-  /// Returns the number of lanes the batch actually ran on (1 = sequential).
-  unsigned execute_plans(const std::vector<BlockPlan>& plans,
-                         const msg::PlatformSummary& sender);
+  void execute_plans(const std::vector<BlockPlan>& plans,
+                     const msg::PlatformSummary& sender);
   /// Feed one episode's measurements to the tuner and act on its decision
   /// (no-op when the tuner is off).
-  void sample_episode(adapt::Signal& s);
-  /// Build + sample the apply-side episode signal (no-op when off).
-  void sample_apply(const std::vector<BlockPlan>& plans, unsigned lanes_used,
-                    std::uint64_t unpack_ns, std::uint64_t conv_ns,
-                    std::uint64_t hits_before, std::uint64_t misses_before);
-  /// Copy a tuner decision into the live options (lanes, grain, slack).
-  void apply_decision(const adapt::Decision& d);
+  void sample_episode(const adapt::Signal& s);
   /// Plan cache lookup for `sender` (creates the per-sender table).
   SenderPlanCache& cache_for(const msg::PlatformSummary& sender);
   /// Record a just-finished phase of `dur_ns` into the telemetry (span +

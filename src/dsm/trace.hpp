@@ -39,8 +39,7 @@ struct TraceEvent {
     // carries the tuner's episode number; decision events must follow a
     // ProbeSampled from the same rank in the same episode (invariant 5).
     ProbeSampled,      ///< the tuner folded one episode's signal in
-    StrategySwitched,  ///< diff-vs-whole-page or identity-fastpath changed
-    LanesRetuned,      ///< conv_threads / parallel_grain changed
+    StrategySwitched,  ///< identity fast path or codec changed
     RunsCoalesced,     ///< adaptive merge_slack changed
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
@@ -107,9 +106,9 @@ class TraceLog {
 ///      number (req != 0) are strictly increasing per rank — the same
 ///      request's payload is never applied twice.
 ///   5. Adaptive causality: a decision event (StrategySwitched,
-///      LanesRetuned, RunsCoalesced) is always preceded by a ProbeSampled
-///      from the same rank carrying the same episode number (sync_id) —
-///      the tuner never switches strategy without having sampled first.
+///      RunsCoalesced) is always preceded by a ProbeSampled from the same
+///      rank carrying the same episode number (sync_id) — the tuner never
+///      switches strategy without having sampled first.
 ///      Adaptive events are lifecycle-exempt like reliability bookkeeping:
 ///      a detached remote's final collect may still sample its tuner.
 std::optional<std::string> validate_trace(

@@ -331,15 +331,19 @@ TEST(Validator, StrategySwitchRequiresAProbeSample) {
   events = make_events(
       {{Kind::ProbeSampled, 2, 7}, {Kind::StrategySwitched, 1, 7}});
   EXPECT_TRUE(dsm::validate_trace(events).has_value());
+
+  // The slack knob's event is held to the same rule.
+  events = make_events(
+      {{Kind::ProbeSampled, 1, 6}, {Kind::RunsCoalesced, 1, 7}});
+  EXPECT_TRUE(dsm::validate_trace(events).has_value());
 }
 
 TEST(Validator, ProbeThenDecisionsOfTheSameEpisodeValidate) {
   const auto events = make_events({{Kind::ProbeSampled, 1, 7},
                                    {Kind::StrategySwitched, 1, 7},
-                                   {Kind::LanesRetuned, 1, 7},
                                    {Kind::RunsCoalesced, 1, 7},
                                    {Kind::ProbeSampled, 1, 8},
-                                   {Kind::LanesRetuned, 1, 8}});
+                                   {Kind::RunsCoalesced, 1, 8}});
   const auto err = dsm::validate_trace(events);
   EXPECT_FALSE(err.has_value()) << *err;
 }
